@@ -4,7 +4,8 @@ A fast (<~30 s) CI stage that runs a small fixed scenario set under
 **both** event-queue implementations and asserts:
 
 1. **Digest equality** — every scenario's canonical schedule digest is
-   identical under ``REPRO_EVENTQ=heap`` and ``=wheel``.  This is the
+   identical with an ``EventQueue()`` (heap) and a
+   ``TimingWheelQueue()`` passed to the engine.  This is the
    always-on differential guard for the timing wheel: the seeded fuzz
    suite (``tests/test_eventq_differential.py``) explores breadth,
    this gate pins the paper-shaped scenarios on every push.
@@ -18,13 +19,10 @@ A fast (<~30 s) CI stage that runs a small fixed scenario set under
    slowest profile would leave the fastest with a ~100x blind spot.
 
 Exit status: 0 = all green, 1 = digest mismatch or floor violation.
-Run via ``make bench-smoke`` (part of ``make verify`` and CI), which
-executes the gate **twice**: once with ``REPRO_FAST=0`` (the
-instrumented run loop) and once with ``REPRO_FAST=1`` (the
-specialized fast loop), so a regression or digest drift confined to
-either path still fails.  CI uploads ``BENCH_trajectory.json`` and
-the ``make bench-profile`` per-subsystem breakdown so the cross-PR
-perf story rides along with every run.
+Run via ``make bench-smoke`` (part of ``make verify`` and CI).  CI
+uploads ``BENCH_trajectory.json`` and the ``make bench-profile``
+per-subsystem breakdown so the cross-PR perf story rides along with
+every run.
 """
 
 from __future__ import annotations
@@ -32,6 +30,9 @@ from __future__ import annotations
 import os
 import sys
 import time
+
+from repro.core.events import EventQueue
+from repro.core.timerwheel import TimingWheelQueue
 
 #: per-profile events/sec floors, each ~20x below observed smoke
 #: throughput on developer hardware (~½ that in CI): only
@@ -42,10 +43,11 @@ FLOORS = {
     "fig6/ule": 3_000,
 }
 
-QUEUE_KINDS = ("heap", "wheel")
+#: queue kind -> a fresh queue object to hand to the engine
+QUEUES = {"heap": EventQueue, "wheel": TimingWheelQueue}
 
 
-def _tick_cell(kind: str):
+def _tick_cell(queue):
     """16 spinners on 8 cores under the 1 ms CFS tick, 500 ms."""
     from repro.core import Engine, ThreadSpec, run_forever
     from repro.core.clock import msec
@@ -53,7 +55,7 @@ def _tick_cell(kind: str):
     from repro.sched import scheduler_factory
 
     engine = Engine(smp(8), scheduler_factory("cfs"), seed=1,
-                    event_queue=kind)
+                    event_queue=queue)
     for i in range(16):
         engine.spawn(ThreadSpec(f"s{i}",
                                 lambda ctx: iter([run_forever()]),
@@ -62,42 +64,51 @@ def _tick_cell(kind: str):
     return engine
 
 
-def _fig6_cell(sched: str, kind: str):
-    """The paper's pin/release load-balancing scenario, truncated."""
+def _fig6_cell(sched: str, queue):
+    """The paper's pin/release load-balancing scenario, truncated.
+    ``run_release`` builds its engine through ``make_engine``, so the
+    queue goes in by binding it to the engine class that factory
+    constructs, for this one call."""
+    import functools
+
     from repro.core.clock import sec
+    from repro.experiments import base
     from repro.experiments.fig6_load_balancing import run_release
 
-    os.environ["REPRO_EVENTQ"] = kind
+    engine_cls = base.Engine
+    base.Engine = functools.partial(engine_cls, event_queue=queue)
     try:
         engine, _, _ = run_release(sched, 32, seed=1,
                                    timeout_ns=sec(1))
     finally:
-        os.environ.pop("REPRO_EVENTQ", None)
+        base.Engine = engine_cls
     return engine
 
 
 SCENARIOS = (
-    ("tick_8x16", lambda kind: _tick_cell(kind)),
-    ("fig6/cfs", lambda kind: _fig6_cell("cfs", kind)),
-    ("fig6/ule", lambda kind: _fig6_cell("ule", kind)),
+    ("tick_8x16", _tick_cell),
+    ("fig6/cfs", lambda queue: _fig6_cell("cfs", queue)),
+    ("fig6/ule", lambda queue: _fig6_cell("ule", queue)),
 )
 
 
 def main() -> int:
-    from repro.core.engine import _fast_from_env
     from repro.tracing.digest import schedule_digest
 
-    print(f"bench-smoke: run loop = "
-          f"{'fast' if _fast_from_env() else 'instrumented'} "
-          f"(REPRO_FAST={os.environ.get('REPRO_FAST', '')!r})")
+    # every queue leg needs a freshly built engine, never a warm one
+    os.environ.pop("REPRO_WARM_ENGINES", None)
     failures = []
     for name, build in SCENARIOS:
         digests = {}
         best_eps = 0.0
-        for kind in QUEUE_KINDS:
+        for kind, queue in QUEUES.items():
             t0 = time.perf_counter()
-            engine = build(kind)
+            engine = build(queue())
             wall = time.perf_counter() - t0
+            if type(engine.events) is not queue:
+                failures.append(f"{name}: ran on "
+                                f"{type(engine.events).__name__}, "
+                                f"not {queue.__name__}")
             digests[kind] = schedule_digest(engine)
             eps = engine.events_processed / wall if wall else 0.0
             best_eps = max(best_eps, eps)

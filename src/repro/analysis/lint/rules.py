@@ -45,7 +45,7 @@ Rules
     a loop in a ``run``-named function, where the field is one the
     engine binds once at construction (``events``, ``profiler``,
     ``scheduler``, ...).  Attribute lookup costs a dict probe per
-    event; the run loops hoist these to locals before the loop, and
+    event; the run loop hoists these to locals before the loop, and
     this rule keeps new loop code from regressing that.  Loads in a
     ``for`` statement's iterable are evaluated once and exempt; a
     deliberate re-read (e.g. a field rebound mid-loop) takes the
@@ -108,9 +108,6 @@ DATAFLOW_RULES: Dict[str, str] = {
     "taint-set-order":
         "set-iteration or directory-listing order flows into a "
         "schedule-affecting sink (sorted() sanitizes it)",
-    "fastpath-parity":
-        "_run_fast and _run_instrumented diverge after normalization; "
-        "the loops must stay behaviorally identical",
     "tickhook-parity":
         "a fused make_tick_hook closure is missing an accounting/"
         "parking statement from the generic Engine tick chain",
@@ -135,7 +132,7 @@ _TAINT_RULES = ("taint-wall-clock", "taint-random", "taint-env",
                 "taint-id-order", "taint-set-order")
 _ATOMICITY_RULES = ("nonatomic-write", "cache-rmw")
 #: dataflow rules computed across the whole file set by lint_paths
-_PARITY_RULES = ("fastpath-parity", "tickhook-parity")
+_PARITY_RULES = ("tickhook-parity",)
 
 
 def effective_rules(rules: Optional[Sequence[str]],
@@ -599,9 +596,9 @@ def lint_paths(paths: Iterable[str],
     """Lint every ``.py`` file under ``paths``.
 
     In the dataflow tier the parity family runs here (it needs the
-    whole file set: the engine's run loops define the contract the
-    scheduler hooks are checked against); its findings are handed to
-    ``lint_source`` per file so suppressions apply normally.
+    whole file set: the engine's ``_tick``/``_update_curr`` define the
+    contract the scheduler hooks are checked against); its findings are
+    handed to ``lint_source`` per file so suppressions apply normally.
     """
     files: Dict[str, str] = {}
     for filename in iter_python_files(paths):

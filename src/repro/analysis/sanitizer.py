@@ -12,7 +12,7 @@ scheduler invariants after *every* dispatched event:
   the per-core ``tick_stopped`` flags, and a parked core has no
   running thread and (absent a pending resched) no runnable work and
   ``needs_tick() == False``.
-* **CFS** — rbtree ordering and leftmost cache, ``nr_running`` /
+* **CFS** — timeline ordering and leftmost cache, ``nr_running`` /
   ``load_weight`` / hierarchical ``h_nr_running`` bookkeeping, curr
   kept out of the tree, cached ``min_vruntime`` never moving
   backwards, and PELT averages staying in range with weights in sync.
@@ -321,7 +321,7 @@ class Sanitizer:
             tree.check_invariants()
         except AssertionError as exc:
             self._fail("rbtree-structure",
-                       f"cpu{cpu} rq red-black structure violated: "
+                       f"cpu{cpu} rq timeline structure violated: "
                        f"{exc}", cpu=cpu)
         nr_curr = 1 if rq.curr is not None else 0
         if rq.nr_running != len(tree) + nr_curr:

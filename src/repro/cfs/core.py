@@ -17,7 +17,6 @@ Faithful to §2.1 of the paper:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -32,7 +31,7 @@ from .entity import SchedEntity
 from .params import CfsTunables
 from .pelt import (HALF_LIFE_NS, _DECAY_CACHE, _DECAY_CACHE_MAX, _LN2,
                    _SATURATED)
-from .peltbank import fold_loads, fold_loads_python, prewarm_decay
+from .peltbank import prewarm_decay
 from .runqueue import CfsRq
 from .weights import calc_delta_fair, nice_to_weight
 
@@ -79,13 +78,7 @@ class CfsScheduler(SchedClass):
     def __init__(self, engine: "Engine",
                  tunables: Optional[CfsTunables] = None, **overrides):
         super().__init__(engine)
-        tun = tunables or CfsTunables(**overrides)
-        if tun.flat_timeline is None:
-            # Unset: follow the engine's fast mode (a copy, so a caller
-            # sharing one tunables object across engines is unaffected).
-            tun = dataclasses.replace(
-                tun, flat_timeline=bool(getattr(engine, "fast", False)))
-        self.tunables = tun
+        self.tunables = tunables or CfsTunables(**overrides)
         ncpus = len(self.machine)
         self.root_group = TaskGroup("root", ncpus, self.tunables)
         self._app_groups: dict[str, TaskGroup] = {}
@@ -99,12 +92,11 @@ class CfsScheduler(SchedClass):
         #: list index is measurably cheaper than a dict probe.
         self._load_cache: list = [None] * ncpus
         self._load_cache_time = -1
-        #: cpu -> ``(avgs, weights)`` bank (None = stale): the task
-        #: ``LoadAvg`` objects in traversal order plus their weights,
-        #: valid until the cpu's runnable set (or timeline order, or a
-        #: task weight) changes; lets :meth:`cpu_load` skip the
-        #: hierarchy walk entirely and hand :func:`~repro.cfs.peltbank
-        #: .fold_loads` parallel arrays
+        #: cpu -> bank of ``(LoadAvg, weight)`` pairs (None = stale):
+        #: the runnable tasks' averages in traversal order, valid until
+        #: the cpu's runnable set (or timeline order, or a task weight)
+        #: changes; lets :meth:`loads_for` skip the hierarchy walk
+        #: entirely (see :mod:`repro.cfs.peltbank`)
         self._avgs_cache: list = [None] * ncpus
         #: cpu -> (load, min_last_update) or None: a cpu whose every
         #: runnable average sits at the saturated fixed point has a
@@ -554,28 +546,19 @@ class CfsScheduler(SchedClass):
         The balancing hot path: instead of re-walking the runqueue
         hierarchy every pass, the per-task banks (``_avgs_cache``,
         invalidated on any runnable-set, timeline-order or weight
-        change) feed :func:`~repro.cfs.peltbank.fold_loads`, whose
-        arithmetic is expression-for-expression identical to
-        ``LoadAvg.peek`` so the result is bit-identical.
+        change) feed the fold in :meth:`loads_for`, whose arithmetic is
+        expression-for-expression identical to ``LoadAvg.peek`` so the
+        result is bit-identical.
         """
         return self.loads_for((cpu,))[cpu]
 
-    def _build_bank(self, cpu: int) -> tuple:
-        """Collect ``cpu``'s runnable-task ``LoadAvg`` bank (see
-        ``_avgs_cache``)."""
-        avgs = []
-        weights = []
-        pairs = []
-        core = self.machine.cores[cpu]
-        for t in self.runnable_threads(core):
+    def _build_bank(self, cpu: int) -> list:
+        """Collect ``cpu``'s runnable-task ``(LoadAvg, weight)`` bank
+        (see ``_avgs_cache``)."""
+        bank = []
+        for t in self.runnable_threads(self.machine.cores[cpu]):
             avg = t.policy.se.avg
-            avgs.append(avg)
-            weights.append(avg.weight)
-            pairs.append((avg, avg.weight))
-        # Third element pre-zips the parallel arrays for the inlined
-        # python fold in loads_for (one tuple alloc here instead of a
-        # zip object per balancing fold).
-        bank = (avgs, tuple(weights), pairs)
+            bank.append((avg, avg.weight))
         self._avgs_cache[cpu] = bank
         return bank
 
@@ -585,12 +568,10 @@ class CfsScheduler(SchedClass):
         tight loop, and return the live cpu-indexed memo list (entries
         outside ``cpus`` may be ``None``).
 
-        With the pure-python kernel the bank fold from
-        :func:`~repro.cfs.peltbank.fold_loads_python` is inlined here —
-        one loop per balancing pass instead of one call per CPU; keep
-        the two bodies in sync (``tests/test_peltbank.py`` pins them
-        against each other).  A non-default kernel (the numpy probe)
-        is still dispatched per bank.
+        The bank fold (see :mod:`repro.cfs.peltbank`) is inlined here:
+        one loop per balancing pass instead of one call per CPU.
+        ``tests/test_peltbank.py`` pins it bit for bit against the
+        sequential ``LoadAvg.peek`` sum.
         """
         now = self.engine.now
         cache = self._load_cache
@@ -600,24 +581,6 @@ class CfsScheduler(SchedClass):
         avgs_cache = self._avgs_cache
         sat_loads = self._sat_loads
         half_life = HALF_LIFE_NS
-        if fold_loads is not fold_loads_python:
-            fold = fold_loads
-            for cpu in cpus:
-                if cache[cpu] is not None:
-                    continue
-                sat = sat_loads[cpu]
-                if sat is not None and now - sat[1] < half_life:
-                    # time-invariant saturated sum, still valid
-                    cache[cpu] = sat[0]
-                    continue
-                bank = avgs_cache[cpu]
-                if bank is None:
-                    bank = self._build_bank(cpu)
-                load, saturated, min_lu = fold(bank[0], bank[1], now)
-                cache[cpu] = load
-                if saturated:
-                    sat_loads[cpu] = (load, min_lu)
-            return cache
         exp = math.exp
         decay_cache = _DECAY_CACHE
         cache_get = decay_cache.get
@@ -642,7 +605,7 @@ class CfsScheduler(SchedClass):
             load = 0.0
             saturated = True
             min_lu = now
-            for avg, weight in bank[2]:
+            for avg, weight in bank:
                 lu = avg.last_update
                 delta = now - lu
                 u = avg.util_avg

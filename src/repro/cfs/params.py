@@ -14,7 +14,6 @@ The paper describes the behaviour of Linux 4.9 on the test machine:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.clock import msec, usec
 
@@ -55,11 +54,6 @@ class CfsTunables:
     cache_nice_tries: int = 1
     #: group threads into per-application task groups (autogroup)
     autogroup: bool = True
-    #: timeline representation: True = flat sorted-array backend
-    #: (binary-insert, digest-identical, faster at per-rq queue depths
-    #: up to the low hundreds), False = red-black tree, None = follow
-    #: the engine's fast mode (see docs/performance.md)
-    flat_timeline: Optional[bool] = None
 
     def sched_period(self, nr_running: int) -> int:
         """The paper's rule: 48 ms up to 8 threads, then 6 ms each."""

@@ -37,11 +37,10 @@ from typing import Callable, Iterable, Optional
 
 from . import actions as act
 from .errors import DeadlockError, SimulationError, ThreadStateError
-from .events import EventLane, EventQueue
+from .events import EventLane
 from .machine import Core, Machine
 from .metrics import MetricRegistry
-from .profile import EventProfiler, global_profiler, profile_from_env, \
-    timestamp
+from .profile import EventProfiler, global_profiler, timestamp
 from .rng import RandomSource
 from .schedflags import DequeueFlags, EnqueueFlags, SelectFlags
 from .thread import SimThread, ThreadState
@@ -63,52 +62,16 @@ _ENQ_NEW = EnqueueFlags.NEW
 TICKLESS_DEFAULT = True
 
 
-def _sanitize_from_env() -> bool:
-    """``REPRO_SANITIZE`` truthiness (unset/0/false/no/off = off)."""
-    value = os.environ.get("REPRO_SANITIZE", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def _fast_from_env() -> bool:
-    """``REPRO_FAST`` truthiness (unset/0/false/no/off = off)."""
-    value = os.environ.get("REPRO_FAST", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def _eventq_from_env() -> str:
-    """``REPRO_EVENTQ``: ``wheel`` (default) or ``heap``."""
-    value = os.environ.get("REPRO_EVENTQ", "").strip().lower()
-    if value in ("", "wheel"):
-        return "wheel"
-    if value == "heap":
-        return "heap"
-    raise ValueError(f"REPRO_EVENTQ must be 'heap' or 'wheel', "
-                     f"got {value!r}")
-
-
-def _lane_from_env() -> bool:
-    """``REPRO_TICK_LANE`` truthiness; **on** unless explicitly
-    disabled (0/false/no/off).  Disabling routes ticks and resched
-    IPIs through the main queue like every other event — the
-    documented kill-switch, and the reference leg of the epoch-kernel
-    digest tests (``tests/test_epoch_tick.py``)."""
-    value = os.environ.get("REPRO_TICK_LANE", "").strip().lower()
+def env_flag(name: str, default: bool) -> bool:
+    """Boolean environment switch ``name``: unset or blank gives
+    ``default``; ``0``/``false``/``no``/``off`` (any case, surrounding
+    whitespace ignored) turn it off; any other value turns it on.  The
+    one parser behind every ``REPRO_*`` on/off switch (see the
+    environment-switch table in docs/performance.md)."""
+    value = os.environ.get(name, "").strip().lower()
+    if not value:
+        return default
     return value not in ("0", "false", "no", "off")
-
-
-def make_event_queue(kind: Optional[str] = None):
-    """Build an event queue: ``"wheel"`` (the default), ``"heap"``
-    (the reference binary heap, for differential testing), or ``None``
-    to consult ``REPRO_EVENTQ``.  Both implementations pop in
-    identical ``(time, seq)`` order, so the choice never changes a
-    schedule — see docs/performance.md."""
-    if kind is None:
-        kind = _eventq_from_env()
-    if kind == "wheel":
-        return TimingWheelQueue()
-    if kind == "heap":
-        return EventQueue()
-    raise ValueError(f"unknown event queue kind: {kind!r}")
 
 
 class Tracer:
@@ -140,6 +103,10 @@ class Tracer:
 class Engine:
     """A single simulation run."""
 
+    #: always True (there is one run loop); kept because tools that
+    #: record the engine's resolved defaults read it
+    fast = True
+
     def __init__(self, topology: Topology, scheduler_factory,
                  seed: int = 0, corun_slowdown: float = 1.0,
                  ctx_switch_cost_ns: int = 0,
@@ -147,30 +114,21 @@ class Engine:
                  sanitize: Optional[bool] = None,
                  faults=None,
                  event_queue=None,
-                 profile: Optional[bool] = None,
-                 fast: Optional[bool] = None):
+                 profile: Optional[bool] = None):
         self.now = 0
-        #: fast mode (``fast=True`` / ``REPRO_FAST``): :meth:`run`
-        #: selects a specialized loop with no per-event observer
-        #: branches, and schedulers may pick flat-array runqueue
-        #: backends.  Digest-identical by construction; silently falls
-        #: back to the instrumented loop whenever tracing, sanitize,
-        #: faults or profiling are active (those need the hooks).
-        self.fast = _fast_from_env() if fast is None else bool(fast)
-        #: the event queue: "heap"/"wheel"/a ready queue object; the
-        #: default consults REPRO_EVENTQ and falls back to the timing
-        #: wheel.  Either kind produces the identical schedule.
-        if event_queue is None or isinstance(event_queue, str):
-            self.events = make_event_queue(event_queue)
-        else:
-            self.events = event_queue
+        #: the event queue: the timing wheel unless a queue object is
+        #: passed in (the reference heap, ``EventQueue()``, pops in the
+        #: identical order — the differential tests pass it)
+        self.events = TimingWheelQueue() if event_queue is None \
+            else event_queue
         #: sorted side lane for the recurring tick + resched events
         #: (the engine's highest-frequency traffic).  It shares the
         #: main queue's sequence counter, so :meth:`_pop_next`'s merge
         #: of the two heads replays the exact single-queue pop order;
         #: ``REPRO_TICK_LANE=0`` disables it (the kill-switch, and the
         #: reference leg of the epoch-kernel digest tests).
-        self._lane = EventLane(self.events) if _lane_from_env() else None
+        self._lane = EventLane(self.events) \
+            if env_flag("REPRO_TICK_LANE", True) else None
         #: where the recurring events are (re)scheduled: the lane when
         #: enabled, else the main queue
         self._sink = self._lane if self._lane is not None else self.events
@@ -228,7 +186,8 @@ class Engine:
         #: post-event invariant checker; None (the default) costs one
         #: local None test per event in :meth:`run`
         self.sanitizer = None
-        if _sanitize_from_env() if sanitize is None else sanitize:
+        if env_flag("REPRO_SANITIZE", False) if sanitize is None \
+                else sanitize:
             # imported lazily: repro.analysis.__init__ imports modules
             # that import this engine module
             from ..analysis.sanitizer import Sanitizer
@@ -240,7 +199,8 @@ class Engine:
         #: aggregates into the process-wide profiler so a serial
         #: campaign can report across all its cells.
         self.profiler: Optional[EventProfiler] = None
-        if profile_from_env() if profile is None else profile:
+        if env_flag("REPRO_PROFILE", False) if profile is None \
+                else profile:
             self.profiler = global_profiler()
 
     # ------------------------------------------------------------------
@@ -259,7 +219,7 @@ class Engine:
         engine is digest-identical to a newly constructed one
         (``tests/test_engine_reset.py`` fuzzes reuse-vs-fresh over
         randomized cell sequences); construction-time parameters
-        (topology, corun model, ctx-switch cost, tickless/fast flags)
+        (topology, corun model, ctx-switch cost, tickless flag)
         are deliberately retained — reuse an engine only for cells
         that share them.
         """
@@ -1076,6 +1036,12 @@ class Engine:
         threads have exited, or when :meth:`stop` is called.  Raises
         :class:`DeadlockError` when events drain while threads are still
         blocked.
+
+        Observers cost one local ``is None`` test per event when off
+        (profiler, sanitizer, stop condition).  The event counter
+        accumulates locally and flushes once — the finally block keeps
+        events/sec reporting exact on every exit path, including
+        exceptions from callbacks.
         """
         self.scheduler.start()
         self.start_ticks()
@@ -1083,20 +1049,46 @@ class Engine:
             self.faults.start()
         self._stopped = False
         self._stop_reason = None
-        # Loop selection happens once, here — the fast loop carries no
-        # per-event observer branches at all, so it is only eligible
-        # when nothing needs those hooks.
-        if self.fast and self.sanitizer is None and self.profiler is None \
-                and self.faults is None and not self._tracing_active():
-            return self._run_fast(until, stop_when, check_interval)
-        return self._run_instrumented(until, stop_when, check_interval)
-
-    def _tracing_active(self) -> bool:
-        """Any tracer hook registered (disqualifies the fast loop)."""
-        tracer = self.tracer
-        return bool(tracer.on_switch or tracer.on_wake
-                    or tracer.on_migrate or tracer.on_exit
-                    or tracer.on_preempt or tracer.on_fault)
+        events_since_check = 0
+        profiler = self.profiler
+        sanitizer = self.sanitizer
+        pop_before = self._pop_next
+        processed = 0
+        try:
+            while True:
+                if self._stopped:
+                    return self._stop_reason or "stopped"
+                if profiler is None:
+                    event = pop_before(until)
+                else:
+                    # queue-drain self-time (heap sift / wheel cascade)
+                    # gets its own ``eventq`` bucket: it belongs to no
+                    # event callback but is real per-event cost
+                    t0 = timestamp()
+                    event = pop_before(until)
+                    profiler.record("eventq", timestamp() - t0)
+                if event is None:
+                    return self._queue_exhausted(until)
+                self.now = event.time
+                processed += 1
+                if profiler is None:
+                    event.callback(*event.args)
+                else:
+                    t0 = timestamp()
+                    event.callback(*event.args)
+                    profiler.record(event.label, timestamp() - t0)
+                if sanitizer is not None:
+                    sanitizer.after_event(event)
+                if stop_when is not None:
+                    events_since_check += 1
+                    if events_since_check >= check_interval:
+                        events_since_check = 0
+                        if stop_when(self):
+                            return "condition"
+                if self.live_threads == 0:
+                    return "all-exited"
+        finally:
+            self.events_processed += processed
 
     def _pop_next(self, until: Optional[int]):
         """Merged pop across the main queue and the tick lane: the
@@ -1155,7 +1147,7 @@ class Engine:
         return event
 
     def _queue_exhausted(self, until: Optional[int]) -> str:
-        """Shared run-loop epilogue: the queue drained, or the next
+        """Run-loop epilogue: the queue drained, or the next
         live event lies beyond the deadline."""
         if until is not None:
             # Tickless idle can drain the queue entirely (the
@@ -1171,82 +1163,6 @@ class Engine:
             raise DeadlockError(
                 f"{self.live_threads} live threads but no events")
         return "drained"
-
-    def _run_instrumented(self, until, stop_when, check_interval) -> str:
-        """The observable run loop: per-event profiler, sanitizer and
-        stop-condition hooks (each one local ``is None`` test when
-        off).  The event counter accumulates locally and flushes once
-        — the finally block keeps events/sec reporting exact on every
-        exit path, including exceptions from callbacks."""
-        events_since_check = 0
-        profiler = self.profiler
-        sanitizer = self.sanitizer
-        pop_before = self._pop_next
-        processed = 0
-        try:
-            while True:
-                if self._stopped:
-                    return self._stop_reason or "stopped"
-                if profiler is None:
-                    event = pop_before(until)
-                else:
-                    # queue-drain self-time (heap sift / wheel cascade)
-                    # gets its own ``eventq`` bucket: it belongs to no
-                    # event callback but is real per-event cost
-                    t0 = timestamp()
-                    event = pop_before(until)
-                    profiler.record("eventq", timestamp() - t0)
-                if event is None:
-                    return self._queue_exhausted(until)
-                self.now = event.time
-                processed += 1
-                if profiler is None:
-                    event.callback(*event.args)
-                else:
-                    t0 = timestamp()
-                    event.callback(*event.args)
-                    profiler.record(event.label, timestamp() - t0)
-                if sanitizer is not None:
-                    sanitizer.after_event(event)
-                if stop_when is not None:
-                    events_since_check += 1
-                    if events_since_check >= check_interval:
-                        events_since_check = 0
-                        if stop_when(self):
-                            return "condition"
-                if self.live_threads == 0:
-                    return "all-exited"
-        finally:
-            self.events_processed += processed
-
-    def _run_fast(self, until, stop_when, check_interval) -> str:
-        """The specialized fast loop (``fast=True`` / ``REPRO_FAST``):
-        identical event order and schedule, but the profiler/sanitizer
-        observer branches are *gone*, not just false — :meth:`run`
-        only selects this loop when no observer is installed."""
-        events_since_check = 0
-        pop_before = self._pop_next
-        processed = 0
-        try:
-            while True:
-                if self._stopped:
-                    return self._stop_reason or "stopped"
-                event = pop_before(until)
-                if event is None:
-                    return self._queue_exhausted(until)
-                self.now = event.time
-                processed += 1
-                event.callback(*event.args)
-                if stop_when is not None:
-                    events_since_check += 1
-                    if events_since_check >= check_interval:
-                        events_since_check = 0
-                        if stop_when(self):
-                            return "condition"
-                if self.live_threads == 0:
-                    return "all-exited"
-        finally:
-            self.events_processed += processed
 
     # ------------------------------------------------------------------
     # canonical schedule state (digest hook)

@@ -27,14 +27,7 @@ cells of a campaign.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter_ns
-
-
-def profile_from_env() -> bool:
-    """``REPRO_PROFILE`` truthiness (unset/0/false/no/off = off)."""
-    value = os.environ.get("REPRO_PROFILE", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 class EventProfiler:

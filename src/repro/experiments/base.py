@@ -10,11 +10,10 @@ factor; EXPERIMENTS.md records paper-vs-measured numbers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..core.engine import Engine
+from ..core.engine import Engine, env_flag
 from ..core.topology import opteron_6172, single_core
 from ..sched import scheduler_factory
 
@@ -46,7 +45,7 @@ class ExperimentResult:
 
 #: warm engine pool: one reusable engine per construction signature,
 #: recycled with :meth:`Engine.reset` between cells.  Only consulted
-#: when ``REPRO_WARM_ENGINES`` is truthy — campaign worker processes
+#: when ``REPRO_WARM_ENGINES`` is on — campaign worker processes
 #: turn it on (they run many same-shaped cells back to back and
 #: engine construction is a visible slice of small-cell runtime);
 #: everything else defaults to fresh construction.
@@ -54,8 +53,7 @@ _WARM_POOL: dict = {}
 
 
 def _warm_enabled() -> bool:
-    return os.environ.get("REPRO_WARM_ENGINES", "") not in (
-        "", "0", "false", "no")
+    return env_flag("REPRO_WARM_ENGINES", False)
 
 
 def make_engine(sched: str, ncpus: int = 1, seed: int = 1,

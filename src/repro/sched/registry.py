@@ -14,10 +14,10 @@ cells — see docs/scheduler-zoo.md.
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Callable, Dict
 
+from ..core.engine import env_flag
 from ..core.errors import SchedulerError
 
 _FACTORIES: Dict[str, Callable] = {}
@@ -35,12 +35,12 @@ def register_scheduler(name: str, factory: Callable, *,
     always an accident (two zoo modules colliding, a test leaking a
     stub into the process-wide registry), so it emits a
     ``RuntimeWarning`` — and raises :class:`SchedulerError` when
-    ``strict=True`` or the ``REPRO_SCHED_STRICT`` environment variable
-    is set.  Intentional replacement: ``unregister_scheduler`` first.
+    ``strict=True`` or the ``REPRO_SCHED_STRICT`` environment switch
+    is on (``0``/``false``/``no``/``off`` leave it off).  Intentional replacement: ``unregister_scheduler`` first.
     """
     if name in _FACTORIES:
         if strict is None:
-            strict = bool(os.environ.get(STRICT_ENV))
+            strict = env_flag(STRICT_ENV, False)
         message = (f"scheduler {name!r} is already registered; "
                    f"re-registration replaces the existing factory")
         if strict:

@@ -110,9 +110,9 @@ def build_engine(scenario: Scenario, sched: str, *,
     threads in scenario order).  Threads are spawned via the engine's
     delayed-spawn path so spawn order is part of the scenario.
     ``faults`` injects a :class:`~repro.faults.plan.FaultPlan` — the
-    chaos mode of the fuzz campaign; ``event_queue`` selects the
-    event-queue implementation (``"heap"``/``"wheel"``) for the
-    heap-vs-wheel differential tests."""
+    chaos mode of the fuzz campaign; ``event_queue`` passes a queue
+    object to the engine (``EventQueue()`` for the heap-vs-wheel
+    differential tests; None builds the default timing wheel)."""
     topo = smp(scenario.ncpus, cpus_per_llc=scenario.cpus_per_llc)
     engine = Engine(topo, scheduler_factory(sched), seed=scenario.seed,
                     sanitize=sanitize, tickless=tickless, faults=faults,

@@ -112,8 +112,8 @@ def test_queue_ops_pop_identically(seed):
 def test_engine_digests_identical_under_both_queues(seed, sched):
     scenario = generate_scenario(seed, smoke=True)
     outcomes = {}
-    for kind in ("heap", "wheel"):
+    for kind, queue in (("heap", EventQueue), ("wheel", TimingWheelQueue)):
         engine, _, reason = run_scenario(scenario, sched,
-                                         event_queue=kind)
+                                         event_queue=queue())
         outcomes[kind] = (schedule_digest(engine), reason, engine.now)
     assert outcomes["heap"] == outcomes["wheel"], scenario.describe()

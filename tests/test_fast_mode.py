@@ -1,14 +1,9 @@
-"""Engine fast mode (``Engine(fast=True)`` / ``REPRO_FAST``).
+"""Observers never change the schedule.
 
-Two contracts:
-
-* **digest identity** — the specialized run loop produces the same
-  canonical schedule (digest, stop reason, final time) as the
-  instrumented loop on fuzzer scenarios under both schedulers;
-* **clean fallback** — ``run()`` silently selects the instrumented
-  loop whenever any observer needs its hooks (sanitizer, profiler,
-  fault injector, or a registered tracer), so turning instrumentation
-  on never loses events and never needs the caller to unset fast.
+The engine has one run loop; the sanitizer, the profiler, tracer hooks
+and an empty ``FaultPlan`` only watch it.  A run with every observer
+on must produce the same canonical schedule (digest, stop reason,
+final time, event count) as the same run with all of them off.
 """
 
 import pytest
@@ -16,16 +11,25 @@ import pytest
 from repro.core.clock import msec
 from repro.core.engine import Engine
 from repro.core.topology import smp
+from repro.faults.plan import FaultPlan
 from repro.sched import scheduler_factory
 from repro.testing.fuzzer import (ThreadSpec, behavior_from_plan,
                                   generate_scenario)
 from repro.tracing.digest import schedule_digest
 
 
-def _run(scenario, sched, fast):
+def _run(scenario, sched, observed):
     topo = smp(scenario.ncpus, cpus_per_llc=scenario.cpus_per_llc)
-    engine = Engine(topo, scheduler_factory(sched),
-                    seed=scenario.seed, fast=fast)
+    kw = dict(sanitize=observed, profile=observed)
+    if observed:
+        kw["faults"] = FaultPlan()
+    engine = Engine(topo, scheduler_factory(sched), seed=scenario.seed,
+                    **kw)
+    if observed:
+        assert engine.sanitizer is not None
+        assert engine.profiler is not None
+        seen = []
+        engine.tracer.on_switch.append(lambda *args: seen.append(args))
     for ft in scenario.threads:
         engine.spawn(ThreadSpec(
             ft.name, behavior_from_plan(ft.plan), nice=ft.nice,
@@ -33,128 +37,15 @@ def _run(scenario, sched, fast):
                       if ft.affinity is not None else None),
             app=ft.app), at=msec(ft.spawn_at_ms))
     reason = engine.run(until=msec(scenario.until_ms))
+    if observed:
+        assert seen, "the tracer hook never fired"
     return (schedule_digest(engine), reason, engine.now,
             engine.events_processed)
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 @pytest.mark.parametrize("sched", ("cfs", "ule"))
-def test_fast_loop_digest_identical(seed, sched):
+def test_observers_leave_digest_unchanged(seed, sched):
     scenario = generate_scenario(seed, smoke=True)
-    assert _run(scenario, sched, fast=True) == \
-        _run(scenario, sched, fast=False), scenario.describe()
-
-
-# ----------------------------------------------------------------------
-# fallback selection
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def chosen_loop(monkeypatch):
-    """Record which run loop ``run()`` selects."""
-    chosen = []
-    orig_fast = Engine._run_fast
-    orig_instr = Engine._run_instrumented
-
-    def spy_fast(self, *args):
-        chosen.append("fast")
-        return orig_fast(self, *args)
-
-    def spy_instr(self, *args):
-        chosen.append("instrumented")
-        return orig_instr(self, *args)
-
-    monkeypatch.setattr(Engine, "_run_fast", spy_fast)
-    monkeypatch.setattr(Engine, "_run_instrumented", spy_instr)
-    return chosen
-
-
-def _spin_engine(**kw):
-    from repro.core import Run
-
-    engine = Engine(smp(2), scheduler_factory("cfs"), seed=1, **kw)
-
-    def worker(ctx):
-        while True:
-            yield Run(msec(1))
-
-    engine.spawn(ThreadSpec("w", worker, app="app"))
-    return engine
-
-
-def test_fast_engine_uses_fast_loop(chosen_loop):
-    _spin_engine(fast=True).run(until=msec(5))
-    assert chosen_loop == ["fast"]
-
-
-def test_default_engine_uses_instrumented_loop(chosen_loop):
-    _spin_engine().run(until=msec(5))
-    assert chosen_loop == ["instrumented"]
-
-
-def test_sanitize_falls_back(chosen_loop):
-    _spin_engine(fast=True, sanitize=True).run(until=msec(5))
-    assert chosen_loop == ["instrumented"]
-
-
-def test_profiler_falls_back(chosen_loop):
-    engine = _spin_engine(fast=True, profile=True)
-    assert engine.profiler is not None
-    engine.run(until=msec(5))
-    assert chosen_loop == ["instrumented"]
-
-
-def test_faults_fall_back(chosen_loop):
-    from repro.faults.plan import FaultPlan, TickJitter
-
-    plan = FaultPlan(faults=(
-        TickJitter(start_ns=msec(1), end_ns=msec(3),
-                   max_jitter_ns=1000),))
-    _spin_engine(fast=True, faults=plan).run(until=msec(5))
-    assert chosen_loop == ["instrumented"]
-
-
-def test_tracer_hook_falls_back(chosen_loop):
-    engine = _spin_engine(fast=True)
-    engine.tracer.on_switch.append(lambda *a: None)
-    engine.run(until=msec(5))
-    assert chosen_loop == ["instrumented"]
-
-
-def test_fallback_digest_matches_fast(chosen_loop):
-    """The fallback is behavioural only: with the sanitizer on, the
-    schedule is still the one the fast loop produces."""
-    scenario = generate_scenario(0, smoke=True)
-
-    def run(**kw):
-        topo = smp(scenario.ncpus, cpus_per_llc=scenario.cpus_per_llc)
-        engine = Engine(topo, scheduler_factory("cfs"),
-                        seed=scenario.seed, **kw)
-        for ft in scenario.threads:
-            engine.spawn(ThreadSpec(
-                ft.name, behavior_from_plan(ft.plan), nice=ft.nice,
-                affinity=(frozenset(ft.affinity)
-                          if ft.affinity is not None else None),
-                app=ft.app), at=msec(ft.spawn_at_ms))
-        engine.run(until=msec(scenario.until_ms))
-        return schedule_digest(engine)
-
-    assert run(fast=True) == run(fast=True, sanitize=True)
-    assert chosen_loop == ["fast", "instrumented"]
-
-
-# ----------------------------------------------------------------------
-# environment probe
-# ----------------------------------------------------------------------
-
-
-def test_repro_fast_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST", "1")
-    assert Engine(smp(1), scheduler_factory("cfs")).fast
-    monkeypatch.setenv("REPRO_FAST", "0")
-    assert not Engine(smp(1), scheduler_factory("cfs")).fast
-    monkeypatch.delenv("REPRO_FAST")
-    assert not Engine(smp(1), scheduler_factory("cfs")).fast
-    monkeypatch.setenv("REPRO_FAST", "1")
-    assert not Engine(smp(1), scheduler_factory("cfs"), fast=False).fast
+    assert _run(scenario, sched, observed=True) == \
+        _run(scenario, sched, observed=False), scenario.describe()

@@ -8,9 +8,10 @@ Three layers:
   :class:`RBTree` through identical insert/remove sequences and
   asserts identical observable state after every op (the two backends
   must be indistinguishable through the ``CfsRq`` seam);
-* engine differential — fuzzer scenarios under CFS with
-  ``flat_timeline`` on vs. off must produce the same canonical
-  schedule digest, stop reason, and final time.
+* engine differential — fuzzer scenarios under CFS must produce the
+  same canonical schedule digest, stop reason, and final time whether
+  the runqueues use the flat timeline (the only runtime backend) or
+  the reference red-black tree swapped in.
 """
 
 import random
@@ -124,48 +125,18 @@ def test_flat_matches_rbtree_under_fuzzed_ops(seed):
 # ----------------------------------------------------------------------
 
 
-def _run(scenario, flat):
-    from repro.core.clock import msec
-    from repro.core.engine import Engine
-    from repro.core.topology import smp
-    from repro.sched import scheduler_factory
-    from repro.testing.fuzzer import ThreadSpec, behavior_from_plan
-
-    topo = smp(scenario.ncpus, cpus_per_llc=scenario.cpus_per_llc)
-    engine = Engine(topo, scheduler_factory("cfs", flat_timeline=flat),
-                    seed=scenario.seed)
-    for ft in scenario.threads:
-        engine.spawn(ThreadSpec(
-            ft.name, behavior_from_plan(ft.plan), nice=ft.nice,
-            affinity=(frozenset(ft.affinity)
-                      if ft.affinity is not None else None),
-            app=ft.app), at=msec(ft.spawn_at_ms))
-    reason = engine.run(until=msec(scenario.until_ms))
+def _run(scenario, backend):
+    engine, _, reason = run_scenario(scenario, "cfs", sanitize=False)
+    root = engine.scheduler.cpurq(engine.machine.cores[0]).root
+    assert type(root.tree) is backend
     return schedule_digest(engine), reason, engine.now
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2, 3))
-def test_engine_digests_identical_under_both_backends(seed):
+def test_engine_digests_identical_under_both_backends(seed, monkeypatch):
+    from repro.cfs import runqueue
+
     scenario = generate_scenario(seed, smoke=True)
-    assert _run(scenario, flat=True) == _run(scenario, flat=False), \
-        scenario.describe()
-
-
-def test_fast_mode_defaults_flat_timeline_on():
-    """``CfsTunables.flat_timeline=None`` follows the engine's fast
-    flag; an explicit setting wins either way."""
-    from repro.cfs.timeline import FlatTimeline as FT
-    from repro.core.engine import Engine
-    from repro.core.topology import smp
-    from repro.sched import scheduler_factory
-
-    def backend(fast, **options):
-        engine = Engine(smp(2), scheduler_factory("cfs", **options),
-                        fast=fast)
-        return type(engine.scheduler.cpurq(
-            engine.machine.cores[0]).root.tree)
-
-    assert backend(fast=False) is RBTree
-    assert backend(fast=True) is FT
-    assert backend(fast=True, flat_timeline=False) is RBTree
-    assert backend(fast=False, flat_timeline=True) is FT
+    flat = _run(scenario, FlatTimeline)
+    monkeypatch.setattr(runqueue, "FlatTimeline", RBTree)
+    assert _run(scenario, RBTree) == flat, scenario.describe()

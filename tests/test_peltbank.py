@@ -1,116 +1,116 @@
-"""The batched PELT fold layer (repro/cfs/peltbank.py).
+"""The balancer's PELT fold (``CfsScheduler.loads_for``).
 
-The load-bearing property is **bit-identity**: folding a bank must
-reproduce, bit for bit, the sum of walking the averages and peeking
-each one (that is what keeps the flat balancer digest-identical to
-the per-thread walk), and the optional numpy kernel must reproduce
-the python kernel exactly.  The inline copy of the fold inside
-``CfsScheduler.loads_for`` is pinned against the module kernel by the
-engine-level digests (tests/test_flat_timeline.py, golden traces).
+The load-bearing property is **bit-identity**: folding a CPU's bank
+must reproduce, bit for bit, the sum of walking that CPU's runnable
+tasks and peeking each average in order (that is what keeps the
+batched balancer digest-identical to the per-thread walk).  These
+tests build a CFS engine with real runqueues — task groups included —
+put the queued tasks' averages into assorted PELT regimes and compare
+``loads_for`` against that sequential sum, along with the saturated
+memo it keeps in ``_sat_loads``.
 """
 
 import random
 
 import pytest
 
-from repro.cfs import peltbank
-from repro.cfs.pelt import HALF_LIFE_NS, LoadAvg
-from repro.cfs.peltbank import (fold_loads_numpy, fold_loads_python,
-                                numpy_enabled)
+from repro.cfs.pelt import HALF_LIFE_NS
+from repro.core import Engine, ThreadSpec, run_forever
+from repro.core.topology import smp
+from repro.sched import scheduler_factory
+
+NOW = 10 * HALF_LIFE_NS
 
 
-def _bank(seed, n, now):
-    """A reproducible bank of ``n`` averages in assorted regimes:
-    fresh, mid-decay, beyond the half-life, saturated, zero-delta."""
-    rng = random.Random(f"peltbank:{seed}")
-    avgs, weights = [], []
-    for i in range(n):
-        avg = LoadAvg()
-        regime = rng.randrange(5)
-        if regime == 0:       # fresh, partially ramped
-            avg.util_avg = rng.random()
-            avg.last_update = now - rng.randrange(1, HALF_LIFE_NS // 4)
-        elif regime == 1:     # deep decay, past several half-lives
-            avg.util_avg = rng.random()
-            avg.last_update = now - rng.randrange(
-                HALF_LIFE_NS, 8 * HALF_LIFE_NS)
-        elif regime == 2:     # saturated inside the shortcut window
-            avg.util_avg = 1.0
-            avg.last_update = now - rng.randrange(1, HALF_LIFE_NS)
-        elif regime == 3:     # saturated but stale beyond the window
-            avg.util_avg = 1.0
-            avg.last_update = now - rng.randrange(
-                HALF_LIFE_NS, 3 * HALF_LIFE_NS)
-        else:                 # updated at this very instant
-            avg.util_avg = rng.random()
-            avg.last_update = now
-        weight = rng.choice((1024, 335, 3121, 88761))
-        avg.weight = weight
-        avgs.append(avg)
-        weights.append(weight)
-    return avgs, tuple(weights)
+def _engine(nthreads, ncpus=2, nices=(0,)):
+    """A CFS engine with ``nthreads`` spinners queued (not yet run)
+    across ``ncpus`` CPUs and two applications (two task groups)."""
+    engine = Engine(smp(ncpus), scheduler_factory("cfs"), seed=1)
+    for i in range(nthreads):
+        engine.spawn(ThreadSpec(f"t{i}", lambda ctx: iter([run_forever()]),
+                                nice=nices[i % len(nices)],
+                                app=f"app{i % 2}"))
+    engine.now = NOW
+    return engine
+
+
+def _avgs(engine, cpu):
+    sched = engine.scheduler
+    return [t.policy.se.avg
+            for t in sched.runnable_threads(engine.machine.cores[cpu])]
+
+
+def _sequential(engine, cpu):
+    expected = 0.0
+    for avg in _avgs(engine, cpu):
+        expected += avg.peek(engine.now, True)  # u * weight
+    return expected
+
+
+def _set_regime(avg, rng):
+    """Fresh, deep decay, saturated inside the shortcut window,
+    saturated but stale, or updated at this very instant."""
+    regime = rng.randrange(5)
+    if regime == 0:
+        avg.util_avg = rng.random()
+        avg.last_update = NOW - rng.randrange(1, HALF_LIFE_NS // 4)
+    elif regime == 1:
+        avg.util_avg = rng.random()
+        avg.last_update = NOW - rng.randrange(HALF_LIFE_NS,
+                                              8 * HALF_LIFE_NS)
+    elif regime == 2:
+        avg.util_avg = 1.0
+        avg.last_update = NOW - rng.randrange(1, HALF_LIFE_NS)
+    elif regime == 3:
+        avg.util_avg = 1.0
+        avg.last_update = NOW - rng.randrange(HALF_LIFE_NS,
+                                              3 * HALF_LIFE_NS)
+    else:
+        avg.util_avg = rng.random()
+        avg.last_update = NOW
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("n", (0, 1, 2, 7, 40))
 def test_python_fold_matches_sequential_peek(seed, n):
-    now = 10 * HALF_LIFE_NS
-    avgs, weights = _bank(seed, n, now)
-    load, saturated, min_lu = fold_loads_python(avgs, weights, now)
-    expected = 0.0
-    for avg in avgs:
-        expected += avg.peek(now, True)  # peek returns u * weight
-    assert load == expected  # bit-identical, not approximately
-    assert min_lu <= now
-
-
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("n", (0, 1, 2, 7, 40))
-def test_numpy_fold_matches_python_fold(seed, n):
-    pytest.importorskip("numpy")
-    now = 10 * HALF_LIFE_NS
-    avgs, weights = _bank(seed, n, now)
-    assert fold_loads_numpy(avgs, weights, now) == \
-        fold_loads_python(avgs, weights, now)
+    """``loads_for`` equals the per-CPU sequential ``peek`` sum."""
+    engine = _engine(n, nices=(0, 5, -5, -20))
+    rng = random.Random(f"peltbank:{seed}")
+    for cpu in range(2):
+        for avg in _avgs(engine, cpu):
+            _set_regime(avg, rng)
+    loads = engine.scheduler.loads_for(range(2))
+    for cpu in range(2):
+        assert loads[cpu] == _sequential(engine, cpu)  # bit-identical
+        sat = engine.scheduler._sat_loads[cpu]
+        assert sat is None or sat[1] <= NOW
 
 
 def test_saturated_flag_only_when_every_term_is_invariant():
-    now = 10 * HALF_LIFE_NS
-    sat = LoadAvg()
+    """Only an all-saturated bank is memoed, keyed by its stalest
+    update; the memo then serves later instants inside the half-life
+    with the recomputed sum's exact bits."""
+    engine = _engine(1, ncpus=1)
+    (sat,) = _avgs(engine, 0)
     sat.util_avg = 1.0
-    sat.last_update = now - HALF_LIFE_NS // 2
-    _, saturated, min_lu = fold_loads_python([sat], (1024,), now)
-    assert saturated
-    assert min_lu == sat.last_update
-    ramping = LoadAvg()
+    sat.last_update = NOW - HALF_LIFE_NS // 2
+    sched = engine.scheduler
+    load = sched.loads_for((0,))[0]
+    assert sched._sat_loads[0] == (load, sat.last_update)
+    engine.now = NOW + HALF_LIFE_NS // 4
+    assert sched.loads_for((0,))[0] == load == _sequential(engine, 0)
+
+    engine = _engine(2, ncpus=1)
+    sat, ramping = _avgs(engine, 0)
+    sat.util_avg = 1.0
+    sat.last_update = NOW - HALF_LIFE_NS // 2
     ramping.util_avg = 0.5
-    ramping.last_update = now - HALF_LIFE_NS // 2
-    _, saturated, _ = fold_loads_python([sat, ramping], (1024, 1024),
-                                        now)
-    assert not saturated
+    ramping.last_update = NOW - HALF_LIFE_NS // 2
+    engine.scheduler.loads_for((0,))
+    assert engine.scheduler._sat_loads[0] is None
 
 
 def test_empty_bank_folds_to_zero():
-    assert fold_loads_python([], (), 123) == (0.0, True, 123)
-
-
-def test_numpy_probe_requires_opt_in(monkeypatch):
-    """The numpy kernel is an explicit opt-in: ``REPRO_NUMPY`` unset,
-    empty, or falsy keeps the python kernel even with numpy present."""
-    for value in ("", "0", "false", "no", "off", "False"):
-        monkeypatch.setenv("REPRO_NUMPY", value)
-        assert not numpy_enabled()
-    monkeypatch.delenv("REPRO_NUMPY")
-    assert not numpy_enabled()
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    try:
-        import numpy  # noqa: F401
-        assert numpy_enabled()
-    except ImportError:  # pragma: no cover - numpy normally present
-        assert not numpy_enabled()
-
-
-def test_active_kernel_selected_from_probe():
-    """``fold_loads`` is bound once at import; with the default
-    environment that is the python kernel."""
-    assert peltbank.fold_loads in (fold_loads_python, fold_loads_numpy)
+    engine = _engine(0)
+    assert engine.scheduler.loads_for(range(2)) == [0.0, 0.0]
+    assert engine.scheduler._sat_loads == [(0.0, NOW), (0.0, NOW)]

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import Engine
 from repro.core.clock import msec, sec, usec
-from repro.core.engine import _sanitize_from_env
 from repro.core.errors import SanitizerError, SimulationError
 from repro.core.topology import smp
 from repro.experiments.base import make_engine as make_exp_engine
@@ -55,7 +54,8 @@ def test_sanitizer_param_overrides_env(monkeypatch):
 ])
 def test_env_truthiness(monkeypatch, value, expected):
     monkeypatch.setenv("REPRO_SANITIZE", value)
-    assert _sanitize_from_env() is expected
+    engine = Engine(smp(2), scheduler_factory("fifo"))
+    assert (engine.sanitizer is not None) is expected
 
 
 def test_sanitizer_runs_checks():
@@ -202,13 +202,15 @@ def test_catches_thread_on_two_runqueues():
 
 
 # ----------------------------------------------------------------------
-# bug injection: rbtree order corruption
+# bug injection: timeline order corruption
 # ----------------------------------------------------------------------
 
 def _first_populated_cfs_tree(engine):
+    """A CFS timeline holding at least two entities (one key can't be
+    out of order)."""
     for core in engine.machine.cores:
         tree = engine.scheduler.cpurq(core).root.tree
-        if len(tree):
+        if len(tree) >= 2:
             return tree
     return None
 
@@ -224,12 +226,10 @@ def test_catches_rbtree_order_corruption():
         if tree is None:  # retry until the timeline has entries
             inject(engine, engine.now + usec(50), corrupt)
             return
-        # push the leftmost node's key past everyone else's: the
-        # node dict and tree structure now disagree on ordering
-        node = tree._nodes[tree.min_key()]
-        del tree._nodes[node.key]
-        node.key = (node.key[0] + sec(10), node.key[1])
-        tree._nodes[node.key] = node
+        # push the leftmost key past everyone else's in place: the
+        # timeline's sorted key array is now out of order
+        keys = tree._keys
+        keys[0] = (keys[0][0] + sec(10), keys[0][1])
         state["corrupted"] = True
 
     inject(engine, msec(1), corrupt)

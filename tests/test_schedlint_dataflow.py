@@ -30,9 +30,9 @@ from repro.analysis.lint.dataflow.baseline import (apply_baseline,
                                                    load_baseline,
                                                    write_baseline)
 from repro.analysis.lint.dataflow.cfg import build_cfg, module_functions
-from repro.analysis.lint.dataflow.parity import (RULE_FASTPATH,
-                                                 RULE_TICKHOOK,
-                                                 check_parity)
+from repro.analysis.lint.dataflow.parity import (RULE_TICKHOOK,
+                                                 check_parity,
+                                                 derive_tick_contract)
 from repro.analysis.lint.dataflow.sarif import sarif_dict
 from repro.analysis.lint.dataflow.solver import (env_join,
                                                  solve_forward)
@@ -392,7 +392,7 @@ def test_replaced_syntactic_rules_disabled_under_dataflow():
 
 
 # ----------------------------------------------------------------------
-# fast-path / tick-hook parity against the real sources
+# tick-hook parity against the real sources
 # ----------------------------------------------------------------------
 
 def test_parity_real_tree_is_clean():
@@ -417,23 +417,6 @@ def mutate(files, path_suffix, old, new, after=None):
 
 #: (name, mutation kwargs, expected rule) — the parity self-check
 PARITY_MUTATIONS = [
-    ("fast-drops-now-assignment",
-     dict(path_suffix="core/engine.py", after="def _run_fast",
-          old="self.now = event.time",
-          new="pass"),
-     RULE_FASTPATH),
-    ("instrumented-gains-statement",
-     dict(path_suffix="core/engine.py", after="def _run_instrumented",
-          old="self.now = event.time",
-          new="self.now = event.time\n"
-              "                self._debug_marker = event.time"),
-     RULE_FASTPATH),
-    ("fast-reorders-stop-check",
-     dict(path_suffix="core/engine.py", after="def _run_fast",
-          old="if self.live_threads == 0:\n"
-              "                    return \"all-exited\"",
-          new="pass"),
-     RULE_FASTPATH),
     ("cfs-hook-drops-last-ran",
      dict(path_suffix="cfs/core.py",
           old="curr.last_ran = now",
@@ -461,6 +444,36 @@ def test_parity_mutation_detected(name, kwargs, rule):
     findings = check_parity(files)
     assert rule in rules_of(findings), \
         f"{name}: expected {rule}, got {rules_of(findings)}"
+
+
+def _without_method(source, name):
+    """``source`` with the ``Engine`` method ``name`` cut out."""
+    tree = ast.parse(source)
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "Engine")
+    method = next(node for node in engine.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == name)
+    lines = source.splitlines(keepends=True)
+    return "".join(lines[:method.lineno - 1] + lines[method.end_lineno:])
+
+
+def test_tick_contract_does_not_depend_on_the_run_loop():
+    """The engine module is found by ``_tick``/``_update_curr``, not by
+    the run loop: with ``run`` deleted the contract is still derived
+    (non-empty) and a broken fused hook is still reported."""
+    files = real_sources()
+    engine_path = next(p for p in files if p.endswith("core/engine.py"))
+    files[engine_path] = _without_method(files[engine_path], "run")
+    assert "def run(" not in files[engine_path]
+    contract = derive_tick_contract(ast.parse(files[engine_path]))
+    assert contract is not None
+    assert contract.accounting and contract.parking
+    assert check_parity(files) == []
+    mutated = mutate(files, path_suffix="cfs/core.py",
+                     old="curr.last_ran = now", new="pass")
+    assert RULE_TICKHOOK in rules_of(check_parity(mutated))
 
 
 # ----------------------------------------------------------------------
