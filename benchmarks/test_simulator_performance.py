@@ -13,7 +13,10 @@ regressions in the simulation kernel are visible.  Six profiles:
 
 Each profile is timed over five rounds and the recorded figure is
 the **median**, so a couple of scheduler blips (or one CPU-frequency
-phase change) on shared hardware cannot fake a regression.  Each run writes ``benchmarks/BENCH_simulator.json``
+phase change) on shared hardware cannot fake a regression.  A round
+repeats its profile until it has lasted ``MIN_ROUND_S``, so the
+shortest smoke profiles (a few ms per run) are not timed over one
+blip-sized window.  Each run writes ``benchmarks/BENCH_simulator.json``
 (events/sec and switches per profile); ``benchmarks/check_bench.py``
 compares it against the recorded baseline and appends a per-sha entry
 to ``benchmarks/BENCH_trajectory.json`` (see docs/performance.md).
@@ -22,7 +25,9 @@ to ``benchmarks/BENCH_trajectory.json`` (see docs/performance.md).
 """
 
 import json
+import math
 import os
+import time
 
 import pytest
 
@@ -61,6 +66,24 @@ def _flush_results():
 #: docs/performance.md on the measured noise band of this harness
 ROUNDS = 5
 
+#: minimum wall time of one timing round: a profile shorter than this
+#: runs several times per round and the round's time is divided by the
+#: repetitions, so a few-ms smoke profile is not at the mercy of one
+#: descheduling blip
+MIN_ROUND_S = 0.05
+
+
+def _timed_rounds(benchmark, run):
+    """``benchmark.pedantic`` over ``ROUNDS`` rounds, each repeating
+    ``run`` enough times to last ``MIN_ROUND_S``; returns the last
+    run's result.  One untimed calibration run sizes the repetitions
+    (and warms the caches)."""
+    start = time.perf_counter()
+    run()
+    once = time.perf_counter() - start
+    iterations = max(1, math.ceil(MIN_ROUND_S / max(once, 1e-6)))
+    return benchmark.pedantic(run, rounds=ROUNDS, iterations=iterations)
+
 
 def _record_result(benchmark, engine, profile, simulated_ns):
     """Fill ``RESULTS[profile]`` from a finished engine + benchmark."""
@@ -88,7 +111,7 @@ def _events_per_second(benchmark, build, simulated_ns, profile):
         engine.run(until=simulated_ns)
         return engine
 
-    engine = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    engine = _timed_rounds(benchmark, run)
     return _record_result(benchmark, engine, profile, simulated_ns)
 
 
@@ -163,7 +186,7 @@ def _fig6_profile(benchmark, sched):
                                    timeout_ns=timeout_ns)
         return engine
 
-    engine = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    engine = _timed_rounds(benchmark, run)
     return _record_result(benchmark, engine, f"fig6_{sched}",
                           engine.now)
 

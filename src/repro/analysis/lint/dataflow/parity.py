@@ -1,7 +1,7 @@
 """Tick-hook parity: structural checker for the fused tick closures.
 
-The fused per-core tick closures (``CfsScheduler.make_tick_hook``,
-``UleScheduler.make_tick_hook`` and the policy zoo's) are manual
+The fused per-core tick closures (``CfsScheduler.make_tick_hook`` and
+``UleScheduler.make_tick_hook``) are manual
 inlines of ``Engine._tick`` → ``Engine._update_curr``, written twice
 for speed with a promise that the copies stay bit-identical.  This
 module turns that promise into a lint rule:

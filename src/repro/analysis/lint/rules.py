@@ -59,8 +59,7 @@ import os
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .findings import (Finding, UNUSED_SUPPRESSION, apply_markers,
-                       is_suppressed, markers_in, suppressions_in)
+from .findings import Finding, UNUSED_SUPPRESSION, apply_markers, markers_in
 
 #: rule id -> one-line description (the ``--list-rules`` catalog)
 RULES: Dict[str, str] = {

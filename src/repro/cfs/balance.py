@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .pelt import HALF_LIFE_NS
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.machine import Core
     from ..core.thread import SimThread
@@ -58,25 +56,6 @@ def load_balance(sched: "CfsScheduler", core: "Core",
                  domain: "SchedDomain", idle: bool) -> int:
     """Try to pull load into ``core`` from the busiest group of
     ``domain``; returns the number of migrated tasks."""
-    now = sched.engine.now
-    sig = domain.skip_sig
-    if sig is not None:
-        # The last pass over this domain found nothing to move while
-        # every CPU in the span sat at the saturated PELT fixed point.
-        # Saturated entries are time-invariant (pelt._SATURATED) and
-        # popped on any runnable-set / weight / timeline change, so as
-        # long as each memoized entry is still the live one (and still
-        # inside its half-life window) the inputs to the busiest-group
-        # search are bit-identical and the pass would no-op again.
-        sat_loads = sched._sat_loads
-        for i, cpu in enumerate(domain.span_cpus):
-            ent = sat_loads[cpu]
-            if ent is not sig[i] or now - ent[1] >= HALF_LIFE_NS:
-                domain.skip_sig = None
-                break
-        else:
-            domain.nr_balance_failed = 0
-            return 0
     local_group = domain.local_group()
     # One batched pass over the span fills the per-instant memo; the
     # group sums then index it directly (the balancer's hot path).
@@ -98,7 +77,6 @@ def load_balance(sched: "CfsScheduler", core: "Core",
             busiest_load = load
     if busiest_group is None:
         domain.nr_balance_failed = 0
-        _memo_no_action(sched, domain, now)
         return 0
     # Average over group size: the paper's "load of the NUMA nodes,
     # defined as the average load of their cores".
@@ -106,7 +84,6 @@ def load_balance(sched: "CfsScheduler", core: "Core",
     busiest_avg = busiest_load / len(busiest_group)
     if busiest_avg * 100 <= local_avg * domain.imbalance_pct:
         domain.nr_balance_failed = 0
-        _memo_no_action(sched, domain, now)
         return 0
     victim_cpu = busiest_cpu_in(sched, busiest_group)
     if victim_cpu is None:
@@ -121,22 +98,6 @@ def load_balance(sched: "CfsScheduler", core: "Core",
     else:
         domain.nr_balance_failed += 1
     return moved
-
-
-def _memo_no_action(sched: "CfsScheduler", domain: "SchedDomain",
-                    now: int) -> None:
-    """Record a no-action pass's saturated-load signature so the next
-    pass can be skipped while it stays valid (see ``load_balance``).
-    Only passes whose *every* span CPU is saturated are memoable —
-    any decaying average would change the inputs next time."""
-    sat_loads = sched._sat_loads
-    sig = []
-    for cpu in domain.span_cpus:
-        ent = sat_loads[cpu]
-        if ent is None or now - ent[1] >= HALF_LIFE_NS:
-            return
-        sig.append(ent)
-    domain.skip_sig = tuple(sig)
 
 
 def group_load(sched: "CfsScheduler", group) -> float:

@@ -1,9 +1,10 @@
 """Crash-safe campaign runner: ``python -m repro.experiments``.
 
-Runs a list of experiments (default: all of them) with the hardened
-fan-out — per-cell timeouts, bounded retries, ``FAILED`` markers —
-checkpointing each finished cell so an interrupted run restarts with
-``--resume`` and re-executes only the unfinished cells::
+Runs a list of experiments (default: all of them) through the leased
+store executor — per-cell timeouts, bounded retries, ``FAILED``
+markers, worker-crash tolerance — checkpointing each finished cell so
+an interrupted run restarts with ``--resume`` and re-executes only
+the unfinished cells::
 
     python -m repro.experiments run --jobs 8 -o report.txt
     # ... killed half-way ...
@@ -25,7 +26,6 @@ from .cellcache import DEFAULT_DIR as DEFAULT_CACHE_DIR
 from .cellcache import CellCache
 from .parallel import FailedCell
 from .registry import experiment_names
-from .store import DEFAULT_DIR as DEFAULT_STORE_DIR
 
 DEFAULT_CHECKPOINT = ".repro-campaign-checkpoint.json"
 
@@ -39,15 +39,6 @@ def _cmd_run(args) -> int:
               f"(known: {known})", file=sys.stderr)
         return 2
     jobs = args.jobs
-    if args.shard_workers is not None and args.profile:
-        print("--profile is serial in-process; --shard-workers "
-              "ignored", file=sys.stderr)
-        args.shard_workers = None
-    if args.shard_workers is not None and args.reseed:
-        print("--reseed is incompatible with --shard-workers "
-              "(sharded cells are content-addressed)",
-              file=sys.stderr)
-        return 2
     if args.profile:
         # Profiling aggregates the process-wide profiler across every
         # cell, which requires running serially in-process, and a
@@ -63,10 +54,9 @@ def _cmd_run(args) -> int:
     cells, results = run_campaign(
         names, quick=not args.full, seed=args.seed, jobs=jobs,
         timeout_s=args.timeout, retries=args.retries,
-        backoff_s=args.backoff, reseed=args.reseed,
+        backoff_s=args.backoff,
         checkpoint_path=args.checkpoint, resume=args.resume,
-        cache=cache, shard_workers=args.shard_workers,
-        store_dir=args.store_dir)
+        cache=cache, store_dir=args.store_dir)
     if cache is not None:
         # stderr: the stdout report must stay byte-identical whether
         # cells were computed or cache-served
@@ -103,30 +93,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full-size configuration (slower)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", "-j", type=int, default=None,
-                   help="worker processes (0 = all cores)")
-    p.add_argument("--shard-workers", type=int, default=None,
-                   metavar="N",
-                   help="run through the leased work-stealing shard "
-                        "executor with N workers sharing the on-disk "
-                        "store (crash-tolerant: survives worker "
-                        "SIGKILLs and supervisor death; see "
+                   help="worker processes sharing the on-disk store "
+                        "(default/1: cells run in this process; "
+                        "0 = all cores; crash-tolerant: survives "
+                        "worker SIGKILLs and supervisor death, see "
                         "docs/distributed-campaigns.md)")
-    p.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
-                   metavar="DIR",
-                   help="shard-store directory (default: "
-                        f"{DEFAULT_STORE_DIR}); pair with --resume "
-                        "to pick an interrupted sharded sweep back "
+    p.add_argument("--store-dir", default=None, metavar="DIR",
+                   help="store directory (default: beside the "
+                        "checkpoint, <checkpoint>.store); pair with "
+                        "--resume to pick an interrupted sweep back "
                         "up")
     p.add_argument("--timeout", type=float, default=None,
-                   metavar="S", help="per-cell wall-clock timeout")
+                   metavar="S",
+                   help="per-cell wall-clock timeout at any --jobs "
+                        "(cells then run in worker processes)")
     p.add_argument("--retries", type=int, default=0,
                    help="re-run failed cells up to N extra times")
     p.add_argument("--backoff", type=float, default=0.5, metavar="S",
                    help="base for exponential retry backoff")
-    p.add_argument("--reseed", action="store_true",
-                   help="perturb a cell's seed on each retry "
-                        "(trades byte-identical reports for "
-                        "progress past seed-specific failures)")
     p.add_argument("--checkpoint", default=DEFAULT_CHECKPOINT,
                    metavar="PATH",
                    help="checkpoint manifest path "

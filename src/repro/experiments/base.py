@@ -11,7 +11,7 @@ factor; EXPERIMENTS.md records paper-vs-measured numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..core.engine import Engine, env_flag
 from ..core.topology import opteron_6172, single_core

@@ -1,12 +1,13 @@
 """Resumable experiment campaigns (``python -m repro.experiments``).
 
 A *campaign* runs a list of experiments as independent cells through
-the hardened :func:`~repro.experiments.parallel.cell_map` — per-cell
-timeouts, bounded retries with exponential backoff, graceful
-``FAILED(reason)`` rows — and checkpoints every finished cell through
-a :class:`~repro.experiments.checkpoint.CampaignCheckpoint` so an
-interrupted ``--jobs`` run can be re-invoked with ``--resume`` and
-re-execute only the unfinished cells.
+the leased store executor :func:`~repro.experiments.shard.shard_map`
+— per-cell timeouts, bounded retries with exponential backoff,
+graceful ``FAILED(reason)`` rows, worker-crash tolerance — and
+checkpoints every finished cell through a
+:class:`~repro.experiments.checkpoint.CampaignCheckpoint` so an
+interrupted run can be re-invoked with ``--resume`` and re-execute
+only the unfinished cells.
 
 Cells and results are plain JSON dicts (not
 :class:`~repro.experiments.base.ExperimentResult` objects) so they
@@ -20,11 +21,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from . import store
 from .cellcache import CellCache
 from .checkpoint import CampaignCheckpoint
-from .parallel import FailedCell, cell_map
+from .parallel import FailedCell, default_jobs
 from .registry import run_experiment
-from .store import DEFAULT_DIR as DEFAULT_STORE_DIR
+from .shard import shard_map
 
 REPORT_HEADER = ("# Reproduction report\n"
                  "# The Battle of the Schedulers: FreeBSD ULE vs. "
@@ -46,14 +48,6 @@ def build_cells(names: Sequence[str], quick: bool,
     """The campaign's stable cell list (one dict per experiment)."""
     return [{"experiment": name, "quick": quick, "seed": seed}
             for name in names]
-
-
-def reseed_cell(cell: dict, attempt: int) -> dict:
-    """The campaign reseeding policy: retry ``attempt`` perturbs the
-    cell's seed by a large deterministic stride, dodging a
-    seed-specific pathology.  Opt-in (``--reseed``) because it trades
-    byte-identical reports for forward progress."""
-    return dict(cell, seed=cell["seed"] + 100_000 * attempt)
 
 
 def render_report(cells: Sequence[dict], results: Sequence) -> str:
@@ -79,36 +73,36 @@ def render_report(cells: Sequence[dict], results: Sequence) -> str:
 def run_campaign(names: Sequence[str], quick: bool = True,
                  seed: int = 1, jobs: Optional[int] = None,
                  timeout_s: Optional[float] = None, retries: int = 0,
-                 backoff_s: float = 0.5, reseed: bool = False,
+                 backoff_s: float = 0.5,
                  checkpoint_path=None,
                  resume: bool = False,
                  cache: Optional[CellCache] = None,
-                 shard_workers: Optional[int] = None,
                  store_dir=None
                  ) -> tuple[list, list]:
     """Run a campaign; returns ``(cells, results)`` where each result
     is a summary dict or a :class:`FailedCell` marker.
 
+    Every campaign runs through the leased store executor
+    (:func:`~repro.experiments.shard.shard_map`,
+    docs/distributed-campaigns.md) with ``jobs`` workers: ``None`` or
+    ``1`` drains the store in this process, ``0`` means all cores.
+    ``timeout_s`` bounds every cell at any ``jobs`` (cells then run in
+    worker processes); a failing or timed-out cell is re-run up to
+    ``retries`` times behind an exponential ``backoff_s`` window.
+
     When ``checkpoint_path`` is given, finished cells are flushed to
     it atomically as they complete; ``resume=True`` replays a prior
-    manifest (matching experiment list/quick/seed) instead of
-    re-running its cells, and a fully successful campaign removes the
-    manifest.
+    manifest (matching experiment list/quick/seed) and the store's
+    finished rows instead of re-running those cells, and a fully
+    successful campaign removes both.  The store lives in
+    ``store_dir``, by default beside the manifest
+    (``<checkpoint_path>.store``) or, without one, in
+    :data:`~repro.experiments.store.DEFAULT_DIR`.
 
     ``cache`` is the content-addressed cell cache
     (:mod:`~repro.experiments.cellcache`): unlike the checkpoint it
     survives successful campaigns and is shared across campaigns with
-    overlapping cells, so a warm rerun executes zero cells.  Reseeded
-    retries are deliberately *not* cached under the original cell —
-    the cache stores only what the cell's own parameters produced.
-
-    ``shard_workers`` switches the map to the leased work-stealing
-    shard executor (:mod:`~repro.experiments.shard`,
-    docs/distributed-campaigns.md): workers coordinate through the
-    shared store under ``store_dir`` and the sweep survives worker
-    SIGKILLs, poison cells, and supervisor crashes.  Incompatible
-    with ``reseed`` (shard results must stay content-addressed) —
-    sharded retries re-run the cell's own parameters.
+    overlapping cells, so a warm rerun executes zero cells.
     """
     cells = build_cells(names, quick, seed)
     checkpoint = None
@@ -118,36 +112,20 @@ def run_campaign(names: Sequence[str], quick: bool = True,
             meta={"experiments": list(names), "quick": quick,
                   "seed": seed})
         checkpoint.load(resume=resume)
-    store = None
-    if shard_workers is not None:
-        if reseed:
-            raise ValueError("--reseed is incompatible with "
-                             "--shard-workers (sharded cells are "
-                             "content-addressed by their parameters)")
-        from .shard import shard_map
-        if store_dir is None:
-            store_dir = DEFAULT_STORE_DIR
-        if not resume:
-            # fresh sweep: a stale store from an older interrupted
-            # run must not replay (mirrors checkpoint.load semantics)
-            from .store import ShardStore
-            ShardStore(store_dir).clear()
-        results = shard_map(run_campaign_cell, cells, shard_workers,
-                            store_dir=store_dir, timeout_s=timeout_s,
-                            retries=retries, backoff_s=backoff_s,
-                            checkpoint=checkpoint, cache=cache)
-        store = store_dir
-    else:
-        results = cell_map(run_campaign_cell, cells, jobs,
-                           timeout_s=timeout_s, retries=retries,
-                           backoff_s=backoff_s,
-                           reseed=reseed_cell if reseed else None,
-                           mark_failures=True, checkpoint=checkpoint,
-                           cache=None if reseed else cache)
+    if store_dir is None:
+        store_dir = (store.DEFAULT_DIR if checkpoint_path is None
+                     else f"{checkpoint_path}.store")
+    if not resume:
+        # fresh sweep: a stale store from an older interrupted run
+        # must not replay (mirrors checkpoint.load semantics)
+        store.remove(store_dir)
+    workers = default_jobs() if jobs == 0 else max(1, jobs or 1)
+    results = shard_map(run_campaign_cell, cells, workers,
+                        store_dir=store_dir, timeout_s=timeout_s,
+                        retries=retries, backoff_s=backoff_s,
+                        checkpoint=checkpoint, cache=cache)
     if not any(isinstance(r, FailedCell) for r in results):
         if checkpoint is not None:
             checkpoint.clear()
-        if store is not None:
-            from .store import ShardStore
-            ShardStore(store).clear()
+        store.remove(store_dir)
     return cells, results

@@ -168,8 +168,8 @@ class CellCache:
     def put(self, cell: Any, result: Any) -> None:
         """Record a finished cell (atomic per-entry write, with an
         integrity digest over the result).  Results must be plain
-        JSON values — the same constraint
-        :func:`~repro.experiments.parallel.cell_map` already imposes."""
+        JSON values — the same constraint the campaign store
+        (:mod:`~repro.experiments.store`) already imposes."""
         atomic_write_json(self.path_for(cell), {
             "format": FORMAT,
             "fingerprint": self.fingerprint,

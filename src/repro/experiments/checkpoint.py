@@ -75,8 +75,8 @@ def _entry_sha(key: str, result: Any) -> str:
 
 
 class CampaignCheckpoint:
-    """Cell-result journal backing ``cell_map(checkpoint=...)`` and
-    the shard supervisor.
+    """Cell-result journal written by the campaign executor's
+    supervisor (:func:`~repro.experiments.shard.shard_map`).
 
     ``get(cell)`` returns the stored result or :data:`MISS`;
     ``put(cell, result)`` records a success by appending one journal

@@ -20,6 +20,8 @@ Paper claims:
 
 from __future__ import annotations
 
+import gc
+
 from ..analysis.report import render_bar_chart
 from ..analysis.stats import percent_diff
 from ..core.clock import msec, sec, usec
@@ -65,6 +67,12 @@ def _figure8_factory(name: str):
 
 def run_app(name: str, sched: str, seed: int = 1) -> dict:
     """Run one app on the 32-core machine with ambient kernel noise."""
+    # A finished 32-core engine is a few MB of cyclic garbage that
+    # only a full collection frees, and when that runs depends on
+    # unrelated allocation counts: a sweep could hold anywhere from one
+    # to a dozen dead engines.  Collecting here (~5-8 ms against ~1 s
+    # per cell) keeps it at one and makes peak memory repeatable.
+    gc.collect()
     sched_options = {}
     if sched == "ule":
         sched_options["pickcpu_scan_cost_ns"] = PICKCPU_SCAN_COST_NS

@@ -1,4 +1,4 @@
-"""Parallel experiment fan-out, hardened for long campaigns.
+"""Parallel experiment fan-out: an ordered map over independent cells.
 
 The paper's figures come from sweeping many independent *cells* — one
 ``(driver, scheduler, seed)`` simulation each.  Cells share nothing
@@ -21,61 +21,19 @@ identical for the serial (``jobs=None``) and parallel paths, so
 Cell functions must be module-level (picklable); cell inputs and
 outputs must be plain data — engines stay inside the worker.
 
-Robustness (opt-in keywords; with none of them set :func:`cell_map`
-is exactly the historical plain map and exceptions propagate
-unwrapped):
-
-* ``timeout_s`` bounds each cell's wall clock; a cell that exceeds it
-  is abandoned (the pool — including the stuck worker — is torn down
-  after the sweep) and recorded as a timeout failure;
-* ``retries``/``backoff_s``/``reseed`` re-run failed cells with
-  exponential backoff, optionally transforming the cell first (e.g.
-  bumping its seed — the campaign's reseeding policy);
-* ``mark_failures`` degrades gracefully: exhausted cells come back as
-  :class:`FailedCell` markers in-place instead of aborting the sweep,
-  so a report renders ``FAILED(reason)`` rows for them;
-* ``checkpoint`` (a
-  :class:`~repro.experiments.checkpoint.CampaignCheckpoint`) records
-  each finished cell's result atomically as it completes and
-  short-circuits cells already finished by an interrupted earlier run
-  — the ``--resume`` machinery;
-* ``cache`` (a :class:`~repro.experiments.cellcache.CellCache`)
-  memoizes finished cells *across* campaigns, content-addressed by
-  (cell, code fingerprint) — a warm rerun of an unchanged campaign
-  executes zero cells (see docs/performance.md).
-
-Independently of those options, the pool path treats a broken pool
-(:class:`~concurrent.futures.process.BrokenProcessPool`, a severed
-result pipe) as a retryable *infrastructure* failure: the pool is
-respawned and the in-flight cells re-run, degrading to serial
-in-process execution if pools keep collapsing — never recorded as a
-cell failure, never aborting the campaign.  For sweeps that need
-worker-crash tolerance with leases and work stealing, see
-:mod:`~repro.experiments.shard` (docs/distributed-campaigns.md).
+:func:`cell_map` is deliberately plain: an exception in a cell
+propagates.  Campaigns that need per-cell timeouts, retries,
+``FAILED(reason)`` rows, checkpoint/resume and worker-crash tolerance
+run through the leased store executor,
+:func:`~repro.experiments.shard.shard_map`
+(docs/distributed-campaigns.md).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Optional, Sequence
-
-#: fresh pools spawned per attempt before degrading to serial
-#: in-process execution (see :func:`_is_pool_failure`)
-MAX_POOL_RESPAWNS = 2
-
-
-def _is_pool_failure(exc: BaseException) -> bool:
-    """True for exceptions that indict the worker *pool* rather than
-    the cell: a worker process that vanished (OOM kill, segfault in a
-    C extension, container eviction) or a severed result pipe.  These
-    are retryable infrastructure failures — the cell never got to
-    run, so it is re-run on a fresh pool instead of being recorded as
-    a cell error."""
-    return isinstance(exc,
-                      (BrokenProcessPool, BrokenPipeError, EOFError))
 
 
 def default_jobs() -> int:
@@ -99,12 +57,14 @@ def _call(payload):
 
 
 class FailedCell:
-    """Marker returned (under ``mark_failures=True``) in place of a
-    result for a cell that exhausted its retries.
+    """Marker returned by :func:`~repro.experiments.shard.shard_map`
+    in place of a result for a cell that exhausted its retries (or was
+    quarantined as poison).
 
-    ``reason`` is ``"timeout"`` or ``"error"``; ``error`` carries the
-    exception summary for error failures; ``attempts`` counts the
-    runs consumed.  Renders as ``FAILED(reason)`` in reports.
+    ``reason`` is ``"timeout"``, ``"error"`` or ``"poison"``; ``error``
+    carries the exception summary for error failures; ``attempts``
+    counts the runs consumed.  Renders as ``FAILED(reason)`` in
+    reports.
     """
 
     __slots__ = ("cell", "reason", "error", "attempts")
@@ -125,104 +85,23 @@ class FailedCell:
         return f"<FailedCell {self.cell!r} {self.render()}>"
 
 
-class CellError(RuntimeError):
-    """Raised when a cell exhausts its retries and ``mark_failures``
-    is off; the :class:`FailedCell` is at ``.failure``."""
-
-    def __init__(self, failure: FailedCell):
-        self.failure = failure
-        super().__init__(f"cell {failure.cell!r} {failure.render()} "
-                         f"after {failure.attempts} attempt(s)")
-
-
-def _run_attempt(fn, items, jobs, timeout_s, on_success=None):
-    """Run ``items`` (a list of ``(index, cell)``) once.
-
-    Returns ``(successes, failures)``: index-keyed result and
-    ``(reason, error)`` dicts.  ``on_success(index, result)`` fires as
-    each result is collected — NOT at the end of the attempt — so a
-    checkpoint records finished cells even when the process is killed
-    mid-attempt.  Uses a pool whenever ``timeout_s`` is set (a hung
-    cell cannot be interrupted in-process) or ``jobs`` asks for
-    parallelism; the pool is torn down afterwards, which also kills
-    any worker stuck past its timeout.
-    """
-    successes: dict[int, Any] = {}
-    failures: dict[int, tuple] = {}
-
-    def collect(index, result):
-        successes[index] = result
-        if on_success is not None:
-            on_success(index, result)
-
-    def run_serial(batch):
-        for index, cell in batch:
-            try:
-                result = fn(cell)
-            except Exception as exc:
-                failures[index] = ("error",
-                                   f"{type(exc).__name__}: {exc}")
-            else:
-                collect(index, result)
-
-    if timeout_s is None and (jobs is None or jobs <= 1):
-        run_serial(items)
-        return successes, failures
-
-    # Pool path.  A pool-infrastructure failure (worker OOM-killed /
-    # segfaulted, result pipe severed — surfacing as
-    # BrokenProcessPool and friends) is NOT a cell failure: the pool
-    # is torn down, a fresh one is spawned, and the uncollected cells
-    # re-run.  After MAX_POOL_RESPAWNS broken pools the remaining
-    # cells degrade to serial in-process execution — the sweep
-    # finishes slower instead of aborting.
-    remaining = list(items)
-    respawns = 0
-    while remaining:
-        nproc = max(1, min(jobs or 1, len(remaining)))
-        broken = None
-        with multiprocessing.Pool(processes=nproc,
-                                  initializer=_warm_worker) as pool:
-            handles = [(index, cell,
-                        pool.apply_async(_call, ((fn, cell),)))
-                       for index, cell in remaining]
-            uncollected = []
-            for index, cell, handle in handles:
-                if broken is not None:
-                    uncollected.append((index, cell))
-                    continue
-                try:
-                    result = handle.get(timeout_s)
-                except multiprocessing.TimeoutError:
-                    failures[index] = ("timeout", "")
-                except Exception as exc:
-                    if _is_pool_failure(exc):
-                        broken = exc
-                        uncollected.append((index, cell))
-                    else:
-                        failures[index] = (
-                            "error", f"{type(exc).__name__}: {exc}")
-                else:
-                    collect(index, result)
-        if broken is None:
-            break
-        remaining = uncollected
-        respawns += 1
-        if respawns > MAX_POOL_RESPAWNS:
-            run_serial(remaining)
-            break
-    return successes, failures
+def _map(fn, cells: list, jobs: Optional[int]):
+    """Yield ``fn(cell)`` for every cell, in order: in-process for
+    ``jobs`` None/<=1 or a single cell, else over a process pool."""
+    if jobs == 0:
+        jobs = default_jobs()
+    if jobs is None or jobs <= 1 or len(cells) <= 1:
+        for cell in cells:
+            yield fn(cell)
+        return
+    with multiprocessing.Pool(processes=min(jobs, len(cells)),
+                              initializer=_warm_worker) as pool:
+        yield from pool.imap(_call, [(fn, cell) for cell in cells],
+                             chunksize=1)
 
 
 def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
-             jobs: Optional[int] = None, *,
-             timeout_s: Optional[float] = None,
-             retries: int = 0,
-             backoff_s: float = 0.5,
-             reseed: Optional[Callable[[Any, int], Any]] = None,
-             mark_failures: bool = False,
-             checkpoint=None,
-             cache=None) -> list:
+             jobs: Optional[int] = None, *, cache=None) -> list:
     """Apply ``fn`` to every cell, fanning out to ``jobs`` worker
     processes; results come back in cell order.
 
@@ -232,94 +111,25 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
     must be a module-level function and cells/results plain picklable
     data.
 
-    The keyword-only robustness options are documented in the module
-    docstring.  ``reseed(cell, attempt)`` returns the cell to use for
-    retry ``attempt`` (1-based); results and checkpoint entries are
-    always keyed by the *original* cell.
-
     ``cache`` (a :class:`~repro.experiments.cellcache.CellCache`)
     memoizes finished cells content-addressed by (cell, code
-    fingerprint): hits short-circuit exactly like checkpoint replays
-    (checkpoint wins when both hold the cell), and every computed
-    result is stored.  Since results are plain JSON either way, a
+    fingerprint): hits are not executed, and every computed result is
+    stored as it arrives.  Since results are plain JSON either way, a
     cache-served sweep is byte-identical to a computed one.
     """
     cells = list(cells)
-    if jobs == 0:
-        jobs = default_jobs()
-    if (timeout_s is None and retries == 0 and not mark_failures
-            and checkpoint is None and cache is None):
-        # The historical plain path, byte-for-byte.
-        if jobs is None or jobs <= 1 or len(cells) <= 1:
-            return [fn(cell) for cell in cells]
-        nproc = min(jobs, len(cells))
-        with multiprocessing.Pool(processes=nproc,
-                                  initializer=_warm_worker) as pool:
-            return pool.map(_call, [(fn, cell) for cell in cells],
-                            chunksize=1)
-
-    results: dict[int, Any] = {}
-    if checkpoint is not None or cache is not None:
-        pending = []
-        for index, cell in enumerate(cells):
-            if checkpoint is not None:
-                hit = checkpoint.get(cell)
-                if hit is not checkpoint.MISS:
-                    results[index] = hit
-                    continue
-            if cache is not None:
-                hit = cache.get(cell)
-                if hit is not cache.MISS:
-                    results[index] = hit
-                    # replayed-from-cache cells still reach the
-                    # checkpoint so an interrupted campaign's manifest
-                    # stays complete
-                    if checkpoint is not None:
-                        checkpoint.put(cell, hit)
-                    continue
-            pending.append(index)
-    else:
-        pending = list(range(len(cells)))
-
-    live = {index: cells[index] for index in pending}
-    attempts_used = {index: 0 for index in pending}
-    fail_info: dict[int, tuple] = {}
-    for attempt in range(retries + 1):
-        if not pending:
-            break
-        if attempt:
-            if backoff_s > 0:
-                time.sleep(backoff_s * (2 ** (attempt - 1)))
-            if reseed is not None:
-                for index in pending:
-                    live[index] = reseed(live[index], attempt)
-        on_success = None
-        if checkpoint is not None or cache is not None:
-            def on_success(index, result):
-                # Flushed per cell, atomically: a SIGKILL between two
-                # cells loses at most the in-flight cell.
-                if checkpoint is not None:
-                    checkpoint.put(cells[index], result)
-                if cache is not None:
-                    cache.put(cells[index], result)
-        successes, fail_info = _run_attempt(
-            fn, [(index, live[index]) for index in pending],
-            jobs, timeout_s, on_success)
-        for index, result in successes.items():
-            results[index] = result
-            attempts_used[index] += 1
-        for index in fail_info:
-            attempts_used[index] += 1
-        pending = sorted(fail_info)
-
-    for index in pending:
-        reason, error = fail_info[index]
-        failure = FailedCell(cells[index], reason, error,
-                             attempts_used[index])
-        if not mark_failures:
-            raise CellError(failure)
-        results[index] = failure
-    return [results[index] for index in range(len(cells))]
+    if cache is None:
+        return list(_map(fn, cells, jobs))
+    results = [cache.get(cell) for cell in cells]
+    pending = [i for i, result in enumerate(results)
+               if result is cache.MISS]
+    # the generator goes first so zip runs it to its end (closing the
+    # pool) before noticing that ``pending`` is used up too
+    computed = _map(fn, [cells[i] for i in pending], jobs)
+    for result, index in zip(computed, pending):
+        cache.put(cells[index], result)
+        results[index] = result
+    return results
 
 
 def _run_experiment_cell(cell):

@@ -1,10 +1,11 @@
-"""Leased work-stealing shard executor for campaign sweeps.
+"""Leased work-stealing executor for campaign sweeps.
 
-:func:`shard_map` is the distributed sibling of
-:func:`~repro.experiments.parallel.cell_map`: same contract (apply
-``fn`` to every cell, results back in submission order, failures as
-:class:`~repro.experiments.parallel.FailedCell` markers), but the
-workers coordinate through a shared on-disk
+:func:`shard_map` is the one campaign executor
+(:func:`~repro.experiments.campaign.run_campaign` always runs through
+it): apply ``fn`` to every cell, results back in submission order,
+failures as :class:`~repro.experiments.parallel.FailedCell` markers.
+With one worker and no timeout the cells run in the calling process;
+otherwise worker processes coordinate through a shared on-disk
 :class:`~repro.experiments.store.ShardStore` instead of pipes to a
 parent — which is what lets the sweep survive anything short of
 losing the disk:
@@ -14,9 +15,13 @@ losing the disk:
   supervisor reaps the corpse and respawns a replacement (bounded by
   ``respawn_budget``).
 * **Poison cells** — a cell whose lease expires
-  ``max_crashes`` times (it keeps killing or wedging workers) is
-  quarantined as a ``FAILED(poison)`` row instead of taking the sweep
-  down with it.
+  ``max_crashes`` times (it keeps killing workers) is quarantined as a
+  ``FAILED(poison)`` row instead of taking the sweep down with it.
+* **Wedged cells** — with ``timeout_s`` set, every cell runs in a
+  worker process; the supervisor kills a worker whose cell has run
+  longer than the timeout, records a ``timeout`` attempt (retried with
+  backoff while ``retries`` last, then ``FAILED(timeout)``), hands the
+  worker's other leased cells back and spawns a replacement.
 * **Supervisor crash** — every completed cell is already in the store
   (and, incrementally, the campaign checkpoint); re-running the same
   sweep against the same ``store_dir`` resumes from the terminal rows
@@ -91,31 +96,21 @@ class _Heartbeat:
     tuple, never mutating it, so this thread always reads a
     consistent snapshot).
 
-    Stops renewing ``timeout_s`` after the current cell began (see
-    :meth:`begin_cell`): a wedged cell then loses its lease — and the
-    rest of the batch with it, since the worker is stuck — gets
-    stolen, and after ``max_crashes`` wedges is quarantined, all
-    without anyone having to kill the stuck worker mid-syscall.
+    Stops renewing once the worker is orphaned (``parent_pid`` gone):
+    a worker wedged in a cell after its supervisor died then loses its
+    leases, so a resumed sweep can steal them back.
     """
 
     def __init__(self, store: ShardStore, owner: str, held: list,
-                 lease_s: float, timeout_s: Optional[float]):
+                 lease_s: float, parent_pid: Optional[int]):
         self._store = store
         self._owner = owner
         self._held = held
         self._lease_s = lease_s
-        self._timeout_s = timeout_s
-        self._deadline = (None if timeout_s is None
-                          else time.monotonic() + timeout_s)
+        self._parent_pid = parent_pid
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
-
-    def begin_cell(self) -> None:
-        """Restart the wedge deadline — ``timeout_s`` bounds one
-        cell's execution, not the whole batch."""
-        if self._timeout_s is not None:
-            self._deadline = time.monotonic() + self._timeout_s
 
     def _run(self) -> None:
         if self._stop.wait(self._lease_s / 3):
@@ -124,9 +119,8 @@ class _Heartbeat:
         store = self._store.clone()  # this thread's own connection
         try:
             while True:
-                deadline = self._deadline
-                if deadline is not None \
-                        and time.monotonic() >= deadline:
+                if self._parent_pid is not None \
+                        and os.getppid() != self._parent_pid:
                     return
                 keys = self._held[0]
                 if keys and not store.renew_many(self._owner, keys,
@@ -147,12 +141,12 @@ class _Heartbeat:
 
 def _drain(store: ShardStore, fn: Callable, owner: str, *,
            lease_s: float, retries: int, backoff_s: float,
-           timeout_s: Optional[float],
            cache: Optional[CellCache],
            poll_s: float = DEFAULT_POLL_S,
            parent_pid: Optional[int] = None,
            max_cells: Optional[int] = None,
-           claim_k: int = DEFAULT_CLAIM_BATCH) -> int:
+           claim_k: int = DEFAULT_CLAIM_BATCH,
+           started_at=None) -> int:
     """The claim/execute/complete loop shared by worker processes and
     the supervisor's serial-degradation path.  Claims up to
     ``claim_k`` cells per store write transaction
@@ -161,7 +155,12 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
     complete+start-next write plus a share of a batch renew.  Returns
     the number of cells executed.  Exits when every cell is terminal,
     when ``max_cells`` is reached, or — for workers — when the
-    supervisor (``parent_pid``) is gone."""
+    supervisor (``parent_pid``) is gone.  ``started_at`` (a shared
+    double, workers under a timeout only) holds the monotonic time
+    the running cell began, 0 between cells; the supervisor reads it
+    to find wedged workers."""
+    if started_at is not None:
+        fn = _stamped(fn, started_at)
     done = 0
     while max_cells is None or done < max_cells:
         if parent_pid is not None and os.getppid() != parent_pid:
@@ -175,7 +174,7 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
             time.sleep(poll_s)
             continue
         held = [tuple(key for key, _ in batch)]
-        beat = _Heartbeat(store, owner, held, lease_s, timeout_s)
+        beat = _Heartbeat(store, owner, held, lease_s, parent_pid)
         try:
             ours = True  # claim_batch marked the first cell started
             for pos, (key, cell) in enumerate(batch):
@@ -193,7 +192,6 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
                                         if k != key)
                         continue  # stolen while queued: the thief
                         #           runs it, we move on
-                beat.begin_cell()
                 next_key = (batch[pos + 1][0]
                             if pos + 1 < len(batch) else None)
                 try:
@@ -218,9 +216,21 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
     return done
 
 
+def _stamped(fn: Callable, started_at) -> Callable:
+    """``fn`` writing the monotonic time it began into ``started_at``
+    while it runs (0 otherwise)."""
+    def run(cell):
+        started_at.value = time.monotonic()
+        try:
+            return fn(cell)
+        finally:
+            started_at.value = 0.0
+    return run
+
+
 def _worker_main(store_dir, fn, *, lease_s, retries, backoff_s,
-                 timeout_s, cache_root, fingerprint, max_crashes,
-                 parent_pid, claim_k=DEFAULT_CLAIM_BATCH) -> None:
+                 cache_root, fingerprint, max_crashes, parent_pid,
+                 claim_k=DEFAULT_CLAIM_BATCH, started_at=None) -> None:
     """Worker process entry point: open the shared store and drain."""
     # warm-engine reuse: a worker runs many cells, and campaign cells
     # repeat (topology, scheduler) configurations — let make_engine
@@ -234,8 +244,8 @@ def _worker_main(store_dir, fn, *, lease_s, retries, backoff_s,
                     max_crashes=max_crashes) as store:
         _drain(store, fn, owner=f"worker-{os.getpid()}",
                lease_s=lease_s, retries=retries, backoff_s=backoff_s,
-               timeout_s=timeout_s, cache=cache,
-               parent_pid=parent_pid, claim_k=claim_k)
+               cache=cache, parent_pid=parent_pid, claim_k=claim_k,
+               started_at=started_at)
 
 
 def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
@@ -255,19 +265,25 @@ def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
     """Apply ``fn`` to every cell through ``workers`` leased
     work-stealing processes sharing the store at ``store_dir``.
 
-    Same result contract as
-    :func:`~repro.experiments.parallel.cell_map` with
-    ``mark_failures=True``: a list in submission order, exhausted or
+    Returns a list in submission order, with exhausted, timed-out or
     quarantined cells as :class:`FailedCell` markers.  ``fn`` must be
     module-level and cells/results plain JSON data (the store and the
     checkpoint both persist them as canonical JSON).
 
-    ``checkpoint``/``cache`` short-circuit exactly like in
-    :func:`cell_map` (checkpoint wins; cache hits are copied into the
-    checkpoint so an interrupted sweep's manifest stays complete), and
-    every store-computed result is merged into both as it lands — the
-    supervisor is the single checkpoint writer, workers share the
-    content-addressed cache directly.
+    ``workers <= 1`` with no ``timeout_s`` drains the store in the
+    calling process (no fork, so ``fn`` may be a closure or a wrapper
+    installed by the caller).  ``timeout_s`` bounds each cell's wall
+    clock; with it set, cells always run in worker processes (at least
+    one) because only a separate process can be killed mid-cell.  A
+    failing or timed-out cell runs up to ``retries`` more times after
+    an exponential ``backoff_s`` window.
+
+    ``checkpoint``/``cache`` short-circuit finished cells (checkpoint
+    wins; cache hits are copied into the checkpoint so an interrupted
+    sweep's manifest stays complete), and every store-computed result
+    is merged into both as it lands — the supervisor is the single
+    checkpoint writer, workers share the content-addressed cache
+    directly.
 
     ``chaos`` is the fault-injection hook: a callable invoked each
     supervisor poll with the list of live worker ``Process`` objects
@@ -351,23 +367,51 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
                store_dir, checkpoint, key_to_cell, on_progress,
                prefilled, total) -> None:
     """Run the pool to completion: spawn workers, reap/respawn the
-    dead, poison wedged cells, merge finished rows into the
+    dead, kill workers whose cell ran past ``timeout_s``, poison cells
+    that keep killing workers, merge finished rows into the
     checkpoint, and degrade to serial when the pool is gone."""
     if respawn_budget is None:
         respawn_budget = default_respawn_budget(workers)
+    pool_size = max(1, workers)
     cache_root = None if cache is None else cache.root
     worker_kwargs = dict(
         lease_s=lease_s, retries=retries, backoff_s=backoff_s,
-        timeout_s=timeout_s, cache_root=cache_root,
-        fingerprint=store.fingerprint, max_crashes=max_crashes,
-        parent_pid=os.getpid(), claim_k=claim_k)
+        cache_root=cache_root, fingerprint=store.fingerprint,
+        max_crashes=max_crashes, parent_pid=os.getpid(),
+        claim_k=claim_k)
+    #: worker -> shared start time of its running cell (timeouts only)
+    clocks: dict = {}
 
     def spawn():
+        started_at = None
+        if timeout_s is not None:
+            started_at = multiprocessing.RawValue("d", 0.0)
         proc = multiprocessing.Process(
             target=_worker_main, args=(store_dir, fn),
-            kwargs=worker_kwargs, daemon=True)
+            kwargs=dict(worker_kwargs, started_at=started_at),
+            daemon=True)
         proc.start()
+        clocks[proc] = started_at
         return proc
+
+    def kill_wedged() -> list:
+        """Kill every worker whose cell has run past ``timeout_s``,
+        hand its leased cells back to the store, and return the
+        killed workers."""
+        now = time.monotonic()
+        wedged = []
+        for proc in procs:
+            began = clocks[proc].value
+            if began and now - began > timeout_s:
+                proc.kill()
+                proc.join()
+                # the cell may have ended between the read and the
+                # kill; then its lease goes back without an attempt
+                store.abandon(f"worker-{proc.pid}",
+                              timed_out=clocks[proc].value == began,
+                              retries=retries, backoff_s=backoff_s)
+                wedged.append(proc)
+        return wedged
 
     checkpointed: set = set()
 
@@ -394,9 +438,10 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
                 on_progress(prefilled + len(checkpointed), total)
 
     procs: list = []
-    if workers > 1:
+    # a timeout needs a killable process even for a one-worker sweep
+    if workers > 1 or timeout_s is not None:
         try:
-            procs = [spawn() for _ in range(workers)]
+            procs = [spawn() for _ in range(pool_size)]
         except OSError:
             procs = []  # can't fork at all: serial from the start
 
@@ -408,11 +453,23 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
             poisoned = store.reap()
             if poisoned:
                 merge_done()
+            if timeout_s is not None:
+                for proc in kill_wedged():
+                    # a timeout is not a crash: the replacement does
+                    # not draw on the respawn budget
+                    procs.remove(proc)
+                    del clocks[proc]
+                    try:
+                        procs.append(spawn())
+                    except OSError:
+                        pass
             dead = [p for p in procs if not p.is_alive()]
             for proc in dead:
                 proc.join()
                 procs.remove(proc)
-            while dead and len(procs) < workers and respawn_budget > 0:
+                del clocks[proc]
+            while dead and len(procs) < pool_size \
+                    and respawn_budget > 0:
                 respawn_budget -= 1
                 try:
                     procs.append(spawn())
@@ -421,11 +478,12 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
                     break
             if not procs:
                 # pool gone and unrespawnable: finish the sweep
-                # serially in-process rather than abandoning it
+                # serially in-process rather than abandoning it (the
+                # only time a cell under a timeout runs unbounded)
                 _drain(store, fn, serial_owner,
                        lease_s=max(lease_s, 60.0), retries=retries,
-                       backoff_s=backoff_s, timeout_s=None,
-                       cache=cache, poll_s=poll_s, claim_k=claim_k)
+                       backoff_s=backoff_s, cache=cache,
+                       poll_s=poll_s, claim_k=claim_k)
                 store.reap()
                 merge_done()
                 continue
@@ -435,9 +493,8 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
         # such stragglers serially so the sweep always converges
         while not store.all_terminal():
             _drain(store, fn, serial_owner, lease_s=max(lease_s, 60.0),
-                   retries=retries, backoff_s=backoff_s,
-                   timeout_s=None, cache=cache, poll_s=poll_s,
-                   claim_k=claim_k)
+                   retries=retries, backoff_s=backoff_s, cache=cache,
+                   poll_s=poll_s, claim_k=claim_k)
             store.reap()
         merge_done()
     finally:

@@ -1,12 +1,12 @@
 r"""Shared shard store: a leased, crash-tolerant cell work queue.
 
-The distributed campaign executor (:mod:`~repro.experiments.shard`)
-shards a sweep across worker *processes* that coordinate through this
-store — a single sqlite database under ``--store-dir`` — instead of
-through pipes to a parent.  That indirection is what buys crash
-tolerance: a worker that dies (including SIGKILL mid-cell) leaves
-nothing behind but an expiring lease, and any surviving worker steals
-the cell back the moment the lease lapses.
+The campaign executor (:mod:`~repro.experiments.shard`) shards a
+sweep across worker *processes* that coordinate through this store —
+a single sqlite database under ``--store-dir`` — instead of through
+pipes to a parent.  That indirection is what buys crash tolerance: a
+worker that dies (including SIGKILL mid-cell) leaves nothing behind
+but an expiring lease, and any surviving worker steals the cell back
+the moment the lease lapses.
 
 Cell lifecycle::
 
@@ -14,6 +14,10 @@ Cell lifecycle::
        ^                 |    \--fail_attempt (retries left,
        |                 |         jittered backoff)--> pending
        |                 |    \--fail_attempt (exhausted)--> failed
+       |                 |    \--abandon (supervisor killed the
+       |                 |         worker): a timed-out started cell
+       |                 |         fails one attempt as above, any
+       |                 |         other held cell --> pending
        |                 +--lease expiry (worker died)
        |                 |      crashes < max_crashes
        +-----------------+
@@ -25,7 +29,9 @@ Robustness properties, in store terms:
 * **Work stealing / reaping** — :meth:`ShardStore.claim` hands out
   pending cells *and* cells whose lease has expired; a long-running
   healthy worker keeps its lease alive by heartbeating
-  (:meth:`renew`), so only a dead or wedged worker loses its cell.
+  (:meth:`renew`), so only a dead or orphaned worker loses its cell
+  (a worker wedged past the timeout is killed by the supervisor and
+  its cells handed back with :meth:`abandon`).
 * **Poison quarantine** — every expired lease bumps the cell's crash
   counter; a cell that has taken down ``max_crashes`` workers is
   marked ``failed`` with a ``poison`` reason instead of crashing a
@@ -462,34 +468,67 @@ class ShardStore:
         worker already completed (our lease was stolen mid-attempt and
         the thief finished first) is left ``done`` untouched — a stale
         failure never clobbers a good result."""
-        now = self._now()
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             row = self._conn.execute(
                 "SELECT attempts, state FROM cells WHERE key = ?",
                 (key,)).fetchone()
-            if row is None or row[1] == "done":
-                self._conn.execute("COMMIT")
-                return False
-            attempts = row[0] + 1
-            if attempts > retries:
-                self._conn.execute(
-                    "UPDATE cells SET state = 'failed', owner = NULL, "
-                    "started = 0, attempts = ?, reason = ? "
-                    "WHERE key = ?",
-                    (attempts, f"error: {error}", key))
-                retried = False
-            else:
-                delay = (backoff_s * 2 ** (attempts - 1)
-                         * backoff_jitter(key, attempts))
-                self._conn.execute(
-                    "UPDATE cells SET state = 'pending', owner = NULL, "
-                    "started = 0, attempts = ?, not_before = ? "
-                    "WHERE key = ?",
-                    (attempts, now + delay, key))
-                retried = True
+            retried = False
+            if row is not None and row[1] != "done":
+                retried = self._fail_locked(key, row[0], "error",
+                                            error, retries, backoff_s)
             self._conn.execute("COMMIT")
             return retried
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+
+    def _fail_locked(self, key: str, attempts: int, kind: str,
+                     error: str, retries: int, backoff_s: float) -> bool:
+        """Record one failed attempt of ``kind`` (``"error"`` or
+        ``"timeout"``) inside the caller's write transaction; returns
+        ``True`` when a retry was scheduled."""
+        attempts += 1
+        if attempts > retries:
+            reason = f"{kind}: {error}" if error else kind
+            self._conn.execute(
+                "UPDATE cells SET state = 'failed', owner = NULL, "
+                "started = 0, attempts = ?, reason = ? WHERE key = ?",
+                (attempts, reason, key))
+            return False
+        delay = (backoff_s * 2 ** (attempts - 1)
+                 * backoff_jitter(key, attempts))
+        self._conn.execute(
+            "UPDATE cells SET state = 'pending', owner = NULL, "
+            "started = 0, attempts = ?, not_before = ? WHERE key = ?",
+            (attempts, self._now() + delay, key))
+        return True
+
+    def abandon(self, owner: str, *, timed_out: bool, retries: int,
+                backoff_s: float) -> None:
+        """Hand back every cell ``owner`` holds, after the supervisor
+        killed that worker.  With ``timed_out`` its started cell ran
+        past the timeout and the kill counts as one failed
+        ``timeout`` attempt (retried with backoff while ``retries``
+        last); every other held cell — unstarted batch-mates, or the
+        started cell of a worker killed for any other reason — returns
+        to ``pending`` at once with no attempt or crash recorded."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            rows = self._conn.execute(
+                "SELECT key, started, attempts FROM cells "
+                "WHERE owner = ? AND state = 'leased'",
+                (owner,)).fetchall()
+            for key, started, attempts in rows:
+                if started and timed_out:
+                    self._fail_locked(key, attempts, "timeout", "",
+                                      retries, backoff_s)
+                else:
+                    self._conn.execute(
+                        "UPDATE cells SET state = 'pending', "
+                        "owner = NULL, started = 0 WHERE key = ?",
+                        (key,))
+            self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")
             raise
@@ -603,9 +642,20 @@ class ShardStore:
         """Delete the store (a fully successful sweep removes it, like
         the checkpoint manifest)."""
         self.close()
-        for name in (str(self.path), f"{self.path}-wal",
-                     f"{self.path}-shm"):
-            try:
-                os.unlink(name)
-            except OSError:
-                pass
+        remove(self.dir)
+
+
+def remove(store_dir) -> None:
+    """Delete the store under ``store_dir`` without opening it, and
+    the directory too when nothing else (say a ``*.corrupt`` file
+    kept for inspection) is left in it."""
+    path = Path(store_dir) / DB_NAME
+    for name in (str(path), f"{path}-wal", f"{path}-shm"):
+        try:
+            os.unlink(name)
+        except OSError:
+            pass
+    try:
+        os.rmdir(store_dir)
+    except OSError:
+        pass

@@ -377,85 +377,6 @@ class PolicyScheduler(SchedClass):
         # changes do not (see the module docstring).
         return not core.is_idle or self._idle_work(core)
 
-    def make_tick_hook(self, core: "Core"):
-        """Fused policy tick (see ``SchedClass.make_tick_hook``).
-
-        Inlines ``Engine._tick`` → ``Engine._update_curr`` →
-        :meth:`update_curr` → :meth:`task_tick` into one closure over
-        per-core state, statement-for-statement identical to the
-        generic chain so every zoo scheduler's schedule is
-        bit-identical (the conformance battery and decision traces pin
-        this down).
-        """
-        from ..core.engine import RUN_FOREVER
-        engine = self.engine
-        events = engine._sink
-        tick_ns = self.tick_ns
-        timeslice = self.policy.timeslice
-        on_charge = self.policy.on_charge
-        on_expire = self.policy.on_expire
-
-        def tick(_core: "Core") -> None:
-            if not core.online:
-                return
-            curr = core.current
-            now = engine.now
-            if curr is None:
-                if engine.tickless and not self._idle_work(core):
-                    # needs_tick(): an idle core only keeps ticking
-                    # while some queue holds stealable work
-                    core.tick_stopped = True
-                    engine._nr_stopped_ticks += 1
-                    engine.metrics.incr("engine.tick_stops")
-                    return
-                events.repost(core.tick_event, now + tick_ns)
-                # -- idle_tick, inlined --
-                if self._idle_work(core):
-                    core.need_resched = True
-                if core.need_resched:
-                    engine._dispatch(core)
-                return
-            events.repost(core.tick_event, now + tick_ns)
-            state = curr.policy
-            # -- Engine._update_curr, inlined --
-            delta = now - core._curr_account_start
-            core._curr_account_start = now
-            if delta > 0:
-                core.account_to_now()
-                curr.total_runtime += delta
-                curr.last_ran = now
-                remaining = curr.run_remaining
-                if remaining is not None and remaining is not RUN_FOREVER:
-                    speed = core._curr_speed
-                    progress = delta if speed == 1.0 \
-                        else int(delta * speed)
-                    remaining -= progress
-                    curr.run_remaining = remaining if remaining > 0 else 0
-                # -- update_curr, inlined --
-                state.slice_used += delta
-                if on_charge is not None:
-                    on_charge(self, curr, state, delta)
-            # -- task_tick, inlined --
-            slice_ns = DEFAULT_SLICE_NS if timeslice is None \
-                else timeslice(self, core, curr, state)
-            if state.slice_used >= slice_ns:
-                if len(self._candidates(core)) <= 1:
-                    state.slice_used = 0   # alone: fresh slice
-                else:
-                    if on_expire is not None:
-                        on_expire(self, core, curr, state)
-                    else:
-                        state.seq = self.next_seq()  # rotate key-ties
-                    state.slice_used = 0
-                    core.need_resched = True
-            if core.need_resched:
-                engine._dispatch(core)
-            elif core.completion_event is not None:
-                engine._cancel_completion(core)
-                engine._arm_completion(core)
-
-        return tick
-
     def _idle_work(self, core: "Core") -> bool:
         """Would an idle ``core`` find work to steal or pull?  A
         composition-only over-approximation: some home CPU holds two

@@ -1,18 +1,21 @@
-"""Failure paths of the hardened parallel runner: raising cells,
-timeouts, retries with reseeding, FAILED markers, and the
-checkpoint/resume contract (resumed rows byte-identical to an
-uninterrupted run)."""
+"""Failure paths of the campaign executor: raising cells, timeouts,
+retries, FAILED markers, lost workers, and the checkpoint/resume
+contract (resumed rows byte-identical to an uninterrupted run).  The
+plain :func:`cell_map` only has to let a raising cell's exception
+through."""
 
 import json
+import multiprocessing
 import os
+import signal
 import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.experiments.checkpoint import CampaignCheckpoint, cell_key
-from repro.experiments.parallel import CellError, FailedCell, cell_map
+from repro.experiments.parallel import FailedCell, cell_map
+from repro.experiments.shard import shard_map
 
 
 def _double(cell):
@@ -39,52 +42,82 @@ def _always_boom(cell):
 
 
 def test_raising_cell_propagates_unwrapped_on_plain_path():
-    # No robustness options: the historical behavior, exception and all.
+    # cell_map is the plain map: the exception comes straight through.
     with pytest.raises(ValueError):
         cell_map(_boom_on_negative, [1, -2, 3])
 
 
-def test_raising_cell_raises_cell_error_when_not_marking():
-    with pytest.raises(CellError) as exc_info:
-        cell_map(_boom_on_negative, [1, -2, 3], retries=1, backoff_s=0)
-    failure = exc_info.value.failure
-    assert failure.cell == -2
-    assert failure.reason == "error"
-    assert "ValueError" in failure.error
-    assert failure.attempts == 2
-
-
-def test_mark_failures_yields_failed_cell_in_place():
-    results = cell_map(_boom_on_negative, [1, -2, 3],
-                       mark_failures=True)
+def test_mark_failures_yields_failed_cell_in_place(tmp_path):
+    results = shard_map(_boom_on_negative, [1, -2, 3], 1,
+                        store_dir=tmp_path / "store")
     assert results[0] == 2 and results[2] == 6
     failure = results[1]
     assert isinstance(failure, FailedCell)
     assert failure.cell == -2
     assert failure.render().startswith("FAILED(error")
+    assert failure.attempts == 1
 
 
-def test_retry_with_reseed_recovers():
-    calls = []
-
-    def reseed(cell, attempt):
-        calls.append((cell, attempt))
-        return -cell  # flip the failing cell positive
-
-    results = cell_map(_boom_on_negative, [1, -2, 3], retries=1,
-                       backoff_s=0, reseed=reseed, mark_failures=True)
-    # Keyed by the ORIGINAL cell, computed from the reseeded one.
-    assert results == [2, 4, 6]
-    assert calls == [(-2, 1)]
-
-
-def test_timeout_cell_is_marked_and_pool_recovers():
-    results = cell_map(_sleep_forever, ["a", "stuck", "b"], jobs=2,
-                       timeout_s=1.0, mark_failures=True)
+def test_timeout_cell_is_marked_and_pool_recovers(tmp_path):
+    results = shard_map(_sleep_forever, ["a", "stuck", "b"], 2,
+                        store_dir=tmp_path / "store", timeout_s=1.0)
     assert results[0] == "a" and results[2] == "b"
     assert isinstance(results[1], FailedCell)
     assert results[1].reason == "timeout"
     assert results[1].render() == "FAILED(timeout)"
+    assert multiprocessing.active_children() == []
+
+
+def _fake_campaign_cell(cell):
+    if cell["experiment"] == "stuck":
+        time.sleep(60)
+    return {"experiment": cell["experiment"], "claim": "ok",
+            "text": f"rows for {cell['experiment']}\n"}
+
+
+def test_campaign_timeout_bounds_a_cell_at_one_job(tmp_path,
+                                                    monkeypatch):
+    """``--timeout`` holds at ``--jobs 1`` too: the cell runs in a
+    worker process, is killed at the timeout ``retries + 1`` times,
+    and its row renders ``FAILED(timeout)``."""
+    from repro.experiments import campaign
+
+    monkeypatch.setattr(campaign, "run_campaign_cell",
+                        _fake_campaign_cell)
+    start = time.monotonic()
+    cells, results = campaign.run_campaign(
+        ["alpha", "stuck"], jobs=1, timeout_s=0.5, retries=1,
+        backoff_s=0.01, checkpoint_path=tmp_path / "ck.jsonl")
+    assert time.monotonic() - start < 20
+    assert results[0]["text"] == "rows for alpha\n"
+    failure = results[1]
+    assert isinstance(failure, FailedCell)
+    assert failure.render() == "FAILED(timeout)"
+    assert failure.attempts == 2
+    report = campaign.render_report(cells, results)
+    assert "== stuck: FAILED(timeout)" in report
+    assert "cell failed after 2 attempt(s)" in report
+    # a failed campaign keeps its manifest and store for --resume
+    assert (tmp_path / "ck.jsonl").exists()
+    assert (tmp_path / "ck.jsonl.store" / "cells.sqlite3").exists()
+
+
+def test_retried_cell_succeeds_without_a_failed_row(tmp_path):
+    flag = tmp_path / "failed-once"
+
+    cells = [{"i": 1}, {"i": 2, "flag": str(flag)}]
+    results = shard_map(_fail_once, cells, 1,
+                        store_dir=tmp_path / "store", retries=1,
+                        backoff_s=0.01)
+    assert results == [2, 4]
+
+
+def _fail_once(cell):
+    flag = cell.get("flag")
+    if flag is not None and not os.path.exists(flag):
+        open(flag, "w").close()
+        raise RuntimeError("transient")
+    return cell["i"] * 2
 
 
 # -------------------------------------------------------------- checkpoint
@@ -92,8 +125,8 @@ def test_timeout_cell_is_marked_and_pool_recovers():
 
 def test_checkpoint_records_only_successes(tmp_path):
     ck = CampaignCheckpoint(tmp_path / "ck.json", meta={"k": 1})
-    results = cell_map(_boom_on_negative, [1, -2, 3],
-                       mark_failures=True, checkpoint=ck)
+    results = shard_map(_boom_on_negative, [1, -2, 3], 1,
+                        store_dir=tmp_path / "store", checkpoint=ck)
     assert isinstance(results[1], FailedCell)
     assert ck.get(1) == 2 and ck.get(3) == 6
     assert ck.get(-2) is ck.MISS  # failures are never checkpointed
@@ -106,12 +139,16 @@ def test_checkpoint_records_only_successes(tmp_path):
 def test_resume_short_circuits_finished_cells(tmp_path):
     path = tmp_path / "ck.json"
     ck = CampaignCheckpoint(path, meta={})
-    cell_map(_double, [1, 2, 3], checkpoint=ck)
-    # A "restarted" run: _always_boom would explode if any cell were
-    # re-executed, so every row must come from the manifest.
+    shard_map(_double, [1, 2, 3], 1, store_dir=tmp_path / "store",
+              checkpoint=ck)
+    # A "restarted" run against an empty store: _always_boom would
+    # fail any cell re-executed, so every row must come from the
+    # manifest.
     resumed = CampaignCheckpoint(path, meta={})
     assert resumed.load(resume=True) == 3
-    results = cell_map(_always_boom, [1, 2, 3], checkpoint=resumed)
+    results = shard_map(_always_boom, [1, 2, 3], 1,
+                        store_dir=tmp_path / "store2",
+                        checkpoint=resumed)
     assert results == [2, 4, 6]
 
 
@@ -123,7 +160,8 @@ def test_resume_after_partial_run_matches_uninterrupted(tmp_path):
     # made it into the manifest.
     path = tmp_path / "ck.json"
     partial = CampaignCheckpoint(path, meta={"run": 1})
-    cell_map(_double, cells[:2], checkpoint=partial)
+    shard_map(_double, cells[:2], 1, store_dir=tmp_path / "store",
+              checkpoint=partial)
 
     resumed_ck = CampaignCheckpoint(path, meta={"run": 1})
     assert resumed_ck.load(resume=True) == 2
@@ -133,7 +171,9 @@ def test_resume_after_partial_run_matches_uninterrupted(tmp_path):
         executed.append(cell)
         return _double(cell)
 
-    resumed = cell_map(counting, cells, checkpoint=resumed_ck)
+    resumed = shard_map(counting, cells, 1,
+                        store_dir=tmp_path / "store",
+                        checkpoint=resumed_ck)
     assert resumed == uninterrupted  # rows identical, in order
     assert executed == [3, 4]  # only the unfinished cells re-ran
 
@@ -187,7 +227,8 @@ def test_campaign_resume_report_is_byte_identical(tmp_path):
     meta = {"experiments": names, "quick": True, "seed": 1}
 
     # The uninterrupted reference.
-    cells, results = run_campaign(names, quick=True, seed=1)
+    cells, results = run_campaign(names, quick=True, seed=1,
+                                  store_dir=tmp_path / "store")
     reference = render_report(cells, results)
 
     # "Kill" a campaign after its first cell: manifest holds table1.
@@ -338,49 +379,34 @@ def test_journal_survives_kill_mid_append(tmp_path):
         assert ck.get(i) == {"payload": "x" * 512, "i": i}
 
 
-# -------------------------------------------- broken pool (infrastructure)
+# ---------------------------------------------- lost worker (infrastructure)
 
 
-def _broken_pool_once(cell):
-    """Raise BrokenProcessPool on the first run of each cell (the
-    flag file marks "already failed once"), succeed after — the shape
-    of a worker lost to the OOM killer."""
+def _killed_once(cell):
+    """SIGKILL the worker on the first run of each cell (the flag file
+    marks "already died once"), succeed after — the shape of a worker
+    lost to the OOM killer."""
     flag, value = cell
     if not os.path.exists(flag):
         open(flag, "w").close()
-        raise BrokenProcessPool("worker died")
+        os.kill(os.getpid(), signal.SIGKILL)
     return value * 2
-
-
-def _broken_pool_always(cell):
-    raise BrokenProcessPool("pool keeps collapsing")
 
 
 def test_broken_pool_respawns_and_reruns_in_flight_cells(tmp_path):
     cells = [(str(tmp_path / f"flag{i}"), i) for i in range(4)]
-    # no retries: the rerun comes from the pool-respawn path, not the
-    # per-cell retry budget
-    results = cell_map(_broken_pool_once, cells, jobs=2,
-                       timeout_s=60, mark_failures=True)
+    # no retries: the rerun comes from lease expiry and respawn, not
+    # the per-cell retry budget
+    results = shard_map(_killed_once, cells, 2,
+                        store_dir=tmp_path / "store", lease_s=0.3)
     assert results == [0, 2, 4, 6]
-
-
-def test_persistently_broken_pool_degrades_to_serial(tmp_path):
-    # Serial in-process execution surfaces the exception as an
-    # ordinary cell error: the campaign records FAILED rows instead
-    # of aborting (and instead of respawning pools forever).
-    results = cell_map(_broken_pool_always, [1, 2], jobs=2,
-                       timeout_s=60, mark_failures=True)
-    assert all(isinstance(r, FailedCell) for r in results)
-    assert all(r.reason == "error" for r in results)
-    assert "BrokenProcessPool" in results[0].error
 
 
 def test_broken_pool_cells_checkpoint_after_respawn(tmp_path):
     ck = CampaignCheckpoint(tmp_path / "ck.jsonl", meta={})
     cells = [(str(tmp_path / f"f{i}"), i) for i in range(3)]
-    results = cell_map(_broken_pool_once, cells, jobs=2,
-                       timeout_s=60, mark_failures=True,
-                       checkpoint=ck)
+    results = shard_map(_killed_once, cells, 2,
+                        store_dir=tmp_path / "store", lease_s=0.3,
+                        checkpoint=ck)
     assert results == [0, 2, 4]
     assert all(ck.get(cell) == cell[1] * 2 for cell in cells)

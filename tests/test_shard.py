@@ -189,6 +189,33 @@ def test_unrespawnable_pool_degrades_to_serial(tmp_path):
     assert results == [_triple(cell) for cell in cells]
 
 
+def _wedged_or_triple(cell):
+    """Cell 0 never returns: only a kill ends it."""
+    if cell["i"] == 0:
+        time.sleep(3600)
+    return _triple(cell)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_wedged_cell_times_out_and_sweep_finishes(tmp_path, workers):
+    """Regression: the supervisor never killed a worker whose lease it
+    had given up on, so a wedged cell's batch-mates stayed leased to
+    a stuck worker (2 workers) or the in-process drain blocked inside
+    the cell (1 worker) and the sweep never ended."""
+    cells = [{"i": i} for i in range(12)]
+    start = time.monotonic()
+    results = shard_map(_wedged_or_triple, cells, workers,
+                        store_dir=tmp_path / "store", timeout_s=1.0,
+                        lease_s=0.6)
+    assert time.monotonic() - start < 20
+    wedged = results[0]
+    assert isinstance(wedged, FailedCell)
+    assert wedged.render() == "FAILED(timeout)"
+    assert wedged.attempts == 1
+    assert results[1:] == [_triple(cell) for cell in cells[1:]]
+    assert multiprocessing.active_children() == []
+
+
 def test_failing_cell_retries_then_marks_failed(tmp_path):
     def check(results):
         failure = results[1]
@@ -319,7 +346,7 @@ def test_run_campaign_through_shard_executor(tmp_path, monkeypatch):
     store_dir = tmp_path / "store"
     cells, results = campaign.run_campaign(
         ["alpha", "beta"], quick=True, seed=1,
-        checkpoint_path=checkpoint_path, shard_workers=2,
+        checkpoint_path=checkpoint_path, jobs=2,
         store_dir=store_dir)
     assert [r["experiment"] for r in results] == ["alpha", "beta"]
     report = campaign.render_report(cells, results)
@@ -329,20 +356,15 @@ def test_run_campaign_through_shard_executor(tmp_path, monkeypatch):
     assert not (store_dir / "cells.sqlite3").exists()
 
 
-def test_run_campaign_rejects_reseed_with_sharding(tmp_path):
-    from repro.experiments.campaign import run_campaign
-
-    with pytest.raises(ValueError, match="reseed"):
-        run_campaign(["alpha"], reseed=True, shard_workers=2,
-                     store_dir=tmp_path / "store")
-
-
 def test_cli_accepts_shard_flags():
     from repro.experiments.__main__ import build_parser
 
     args = build_parser().parse_args(
-        ["run", "--shard-workers", "4", "--store-dir", "/tmp/s",
-         "--resume"])
-    assert args.shard_workers == 4
+        ["run", "--jobs", "4", "--store-dir", "/tmp/s", "--resume"])
+    assert args.jobs == 4
     assert args.store_dir == "/tmp/s"
     assert args.resume
+    # one executor: no executor switch, and retries never reseed
+    for gone in (["--shard-workers", "4"], ["--reseed"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", *gone])
